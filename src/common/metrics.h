@@ -36,7 +36,8 @@ namespace spq::metrics {
 //     cells_compacted           partition compactions (auto + explicit)
 //     checkpoints / recoveries  whole-store persistence round-trips
 //     materialize_ns / checkpoint_ns / recover_ns (histograms)
-//   spq.job.*       — mapreduce runtime (mapreduce/runtime.h), every job.
+//   spq.job.*       — mapreduce runtime (mapreduce/runtime.h) and the warm
+//                     route (spq/cell_store.cc), every job.
 //     runs                      jobs completed (cold, build, warm, batch)
 //     map_ns / reduce_ns / total_ns (histograms)  per-job phase walltime
 //   spq.wal.*       — StoreWal (spq/wal.cc).

@@ -31,7 +31,8 @@ namespace spq::trace {
 //                     — whole-store persistence (spq/cell_store.cc)
 //   job.run / job.map / job.shuffle / job.reduce / map.task / reduce.task
 //                     — mapreduce runtime phases and per-task spans
-//                       (mapreduce/runtime.h)
+//                       (mapreduce/runtime.h), and the same phases of the
+//                       warm route (spq/cell_store.cc)
 //   reduce.join       — one per reduce GROUP (spq/reduce_core.h): the
 //                       finest-grained span, which is why the disabled
 //                       cost — one relaxed load + branch — is gated in

@@ -15,6 +15,17 @@ namespace {
 constexpr char kMagic[] = "SPQD1";
 constexpr std::size_t kMagicLen = 5;
 
+/// Rejects a row count the rest of the payload cannot hold, before
+/// anything is reserved for it (a lying count would abort the process).
+/// A data row takes at least 17 bytes (one-byte varint id, two doubles), a
+/// feature row 18 (plus a one-byte keyword count).
+Status CheckRowCount(uint64_t count, uint64_t min_row_bytes,
+                     const BufferReader& reader) {
+  if (count <= reader.remaining() / min_row_bytes) return Status::OK();
+  return Status::InvalidArgument("row count " + std::to_string(count) +
+                                 " exceeds the payload");
+}
+
 }  // namespace
 
 std::vector<uint8_t> EncodeDataset(const core::Dataset& dataset) {
@@ -55,6 +66,7 @@ StatusOr<core::Dataset> DecodeDataset(const std::vector<uint8_t>& bytes) {
   SPQ_RETURN_NOT_OK(reader.GetDouble(&dataset.bounds.max_y));
   uint64_t num_data;
   SPQ_RETURN_NOT_OK(reader.GetVarint(&num_data));
+  SPQ_RETURN_NOT_OK(CheckRowCount(num_data, 17, reader));
   dataset.data.reserve(num_data);
   for (uint64_t i = 0; i < num_data; ++i) {
     core::DataObject p;
@@ -65,6 +77,7 @@ StatusOr<core::Dataset> DecodeDataset(const std::vector<uint8_t>& bytes) {
   }
   uint64_t num_features;
   SPQ_RETURN_NOT_OK(reader.GetVarint(&num_features));
+  SPQ_RETURN_NOT_OK(CheckRowCount(num_features, 18, reader));
   dataset.features.reserve(num_features);
   for (uint64_t i = 0; i < num_features; ++i) {
     core::FeatureObject f;

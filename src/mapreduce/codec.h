@@ -97,6 +97,11 @@ struct Codec<std::vector<T>> {
   static Status Decode(BufferReader& reader, std::vector<T>* out) {
     uint64_t n;
     SPQ_RETURN_NOT_OK(reader.GetVarint(&n));
+    // Every encoded element takes at least one byte: a larger count is a
+    // lie, and reserving it would abort the process.
+    if (n > reader.remaining()) {
+      return Status::InvalidArgument("vector count exceeds the payload");
+    }
     out->clear();
     out->reserve(n);
     for (uint64_t i = 0; i < n; ++i) {

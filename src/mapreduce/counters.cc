@@ -14,24 +14,26 @@ Counters& Counters::operator=(Counters&& other) noexcept {
   return *this = other;  // delegate to copy-assign (snapshot under lock)
 }
 
-void Counters::Increment(const std::string& name, uint64_t delta) {
+void Counters::Increment(std::string_view name, uint64_t delta) {
   std::lock_guard<std::mutex> lock(mutex_);
-  values_[name] += delta;
+  auto it = values_.find(name);
+  if (it == values_.end()) it = values_.emplace(std::string(name), 0).first;
+  it->second += delta;
 }
 
-uint64_t Counters::Get(const std::string& name) const {
+uint64_t Counters::Get(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = values_.find(name);
   return it == values_.end() ? 0 : it->second;
 }
 
 void Counters::MergeFrom(const Counters& other) {
-  std::map<std::string, uint64_t> snapshot = other.Snapshot();
+  Values snapshot = other.Snapshot();
   std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& [name, value] : snapshot) values_[name] += value;
 }
 
-std::map<std::string, uint64_t> Counters::Snapshot() const {
+Counters::Values Counters::Snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return values_;
 }

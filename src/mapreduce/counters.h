@@ -2,9 +2,11 @@
 #define SPQ_MAPREDUCE_COUNTERS_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 namespace spq::mapreduce {
 
@@ -24,21 +26,25 @@ class Counters {
   Counters(Counters&& other) noexcept : values_(other.Snapshot()) {}
   Counters& operator=(Counters&& other) noexcept;
 
+  /// Name-sorted counter values. Transparent comparator: lookups by
+  /// string_view (the counter-name literals) allocate nothing.
+  using Values = std::map<std::string, uint64_t, std::less<>>;
+
   /// Adds `delta` to counter `name` (creating it at zero).
-  void Increment(const std::string& name, uint64_t delta = 1);
+  void Increment(std::string_view name, uint64_t delta = 1);
 
   /// Current value of `name`, or 0 when never incremented.
-  uint64_t Get(const std::string& name) const;
+  uint64_t Get(std::string_view name) const;
 
   /// Merges all counters of `other` into this one.
   void MergeFrom(const Counters& other);
 
   /// Snapshot of all counters, sorted by name.
-  std::map<std::string, uint64_t> Snapshot() const;
+  Values Snapshot() const;
 
  private:
   mutable std::mutex mutex_;
-  std::map<std::string, uint64_t> values_;
+  Values values_;
 };
 
 }  // namespace spq::mapreduce

@@ -10,10 +10,6 @@
 #include "mapreduce/counters.h"
 #include "mapreduce/fault.h"
 
-namespace spq {
-class ThreadPool;
-}  // namespace spq
-
 namespace spq::mapreduce {
 
 /// \brief How map outputs are ordered and laid out for the shuffle.
@@ -53,13 +49,6 @@ struct JobConfig {
   std::string spill_dir;
   /// Shuffle layout/sort strategy; see ShuffleMode.
   ShuffleMode shuffle_mode = ShuffleMode::kCellBucketed;
-  /// Optional shared worker pool. When null the runtime spins up a private
-  /// ThreadPool(num_workers) per job; a long-lived engine passes its own
-  /// pool instead so warm queries skip per-job thread creation and
-  /// concurrent jobs share one set of cluster slots. The pool must outlive
-  /// the job; any number of concurrent jobs may share it (ParallelFor
-  /// completion is tracked per call, not per pool).
-  ThreadPool* worker_pool = nullptr;
 };
 
 /// \brief Everything the runtime measures about one job execution.

@@ -194,42 +194,32 @@ StatusOr<FlatSegment> BuildFlatSegment(
   return seg;
 }
 
-/// Sorted-run layout step of the legacy shuffle: comparison stable_sort of
-/// the partition's records followed by a Codec round trip into one byte
-/// image. Factored out of RunJob so side-input jobs (spq/cell_store.cc)
-/// can run the identical legacy pipeline under their own reduce callable.
-template <typename K, typename V, typename Less>
-StatusOr<SortedSegment> BuildSortedSegment(std::vector<std::pair<K, V>>& records,
-                                           const Less& sort_less) {
-  std::stable_sort(records.begin(), records.end(),
-                   [&](const std::pair<K, V>& a, const std::pair<K, V>& b) {
-                     return sort_less(a.first, b.first);
-                   });
-  Buffer buf;
-  for (const auto& [key, value] : records) {
-    Codec<K>::Encode(key, buf);
-    Codec<V>::Encode(value, buf);
-  }
-  SortedSegment seg;
-  seg.num_records = records.size();
-  seg.bytes = buf.TakeBytes();
-  seg.byte_size = seg.bytes.size();
-  return seg;
+/// Job-phase registry metrics of one completed job (the MapReduce runtime
+/// and the warm route in spq/cell_store.cc): one sample per job, never per
+/// record, so the registry answers "where do jobs spend their time" while
+/// the hot loops stay untouched.
+inline void RecordJobMetrics(const JobStats& stats) {
+  auto& registry = metrics::MetricsRegistry::Global();
+  static metrics::Counter& jobs = registry.counter("spq.job.runs");
+  static metrics::Histogram& map_ns = registry.histogram("spq.job.map_ns");
+  static metrics::Histogram& reduce_ns =
+      registry.histogram("spq.job.reduce_ns");
+  static metrics::Histogram& total_ns = registry.histogram("spq.job.total_ns");
+  jobs.Increment();
+  map_ns.Record(static_cast<uint64_t>(stats.map_seconds * 1e9));
+  reduce_ns.Record(static_cast<uint64_t>(stats.reduce_seconds * 1e9));
+  total_ns.Record(static_cast<uint64_t>(stats.total_seconds * 1e9));
 }
 
 /// Shared job orchestration: runs the map phase (with fault retries and
 /// optional spilling), the shuffle accounting and the reduce phase (with
 /// fault retries) for either segment representation. `SpillPartition`
 /// turns one map partition's records into a StatusOr<Segment>;
-/// `ReducePartition` consumes one reduce partition's segments and receives
-/// the partition index, which is what enables side-input jobs: a reduce
-/// callable may join its shuffled stream against resident state keyed by
-/// the same partitioner (see spq/cell_store.cc), with the partition index
-/// scoping which resident slice belongs to the task.
+/// `ReducePartition` consumes one reduce partition's segments.
 ///
-/// The legacy and flat pipelines below differ only in those two callables
-/// — keeping a single driver guarantees both modes (and the side-input
-/// jobs built on this entry point) share fault injection, retry, stats and
+/// The legacy and flat pipelines below, and the store build job
+/// (spq/cell_store.cc), differ only in those two callables — keeping a
+/// single driver guarantees they share fault injection, retry, stats and
 /// cleanup semantics exactly (the equivalence tests rely on it).
 template <typename Segment, typename In, typename K, typename V,
           typename Out, typename SpillPartitionFn, typename ReducePartitionFn>
@@ -248,15 +238,7 @@ StatusOr<JobOutput<Out>> RunJobWith(const JobSpec<In, K, V, Out>& spec,
   const uint32_t num_reduces = config.num_reduce_tasks;
   const uint64_t spill_run_id = NextSpillRunId();
 
-  // A long-lived caller (the warm serving path) shares one pool across
-  // jobs; otherwise the job owns a private pool for its duration.
-  std::unique_ptr<ThreadPool> owned_pool;
-  ThreadPool* shared_pool = config.worker_pool;
-  if (shared_pool == nullptr) {
-    owned_pool = std::make_unique<ThreadPool>(config.num_workers);
-    shared_pool = owned_pool.get();
-  }
-  ThreadPool& pool = *shared_pool;
+  ThreadPool pool(config.num_workers);
 
   // ---------------------------------------------------------------- map --
   // segments[m][r]: the sorted run map task m produced for reduce r.
@@ -426,8 +408,7 @@ StatusOr<JobOutput<Out>> RunJobWith(const JobSpec<In, K, V, Out>& spec,
             Mix64((spill_run_id << 20) ^ 0x524544ull ^
                   (static_cast<uint64_t>(r) << 8) ^
                   static_cast<uint64_t>(attempt)));
-        st = reduce_partition(static_cast<uint32_t>(r), reduce_inputs[r],
-                              ctx);
+        st = reduce_partition(reduce_inputs[r], ctx);
       }
       if (!st.ok()) {
         if (config.faults.storage_enabled() &&
@@ -470,23 +451,7 @@ StatusOr<JobOutput<Out>> RunJobWith(const JobSpec<In, K, V, Out>& spec,
   }
   stats.total_seconds = total_watch.ElapsedSeconds();
 
-  // Job-phase latency histograms: one sample per job (never per record),
-  // so the registry answers "where do jobs spend their time" while the
-  // hot loops stay untouched. The references are resolved once per
-  // process (same named Histogram for every template instantiation).
-  {
-    auto& registry = metrics::MetricsRegistry::Global();
-    static metrics::Counter& jobs = registry.counter("spq.job.runs");
-    static metrics::Histogram& map_ns = registry.histogram("spq.job.map_ns");
-    static metrics::Histogram& reduce_ns =
-        registry.histogram("spq.job.reduce_ns");
-    static metrics::Histogram& total_ns =
-        registry.histogram("spq.job.total_ns");
-    jobs.Increment();
-    map_ns.Record(static_cast<uint64_t>(stats.map_seconds * 1e9));
-    reduce_ns.Record(static_cast<uint64_t>(stats.reduce_seconds * 1e9));
-    total_ns.Record(static_cast<uint64_t>(stats.total_seconds * 1e9));
-  }
+  RecordJobMetrics(stats);
 
   SPQ_LOG_DEBUG << config.job_name << ": " << stats.input_records
                 << " input, " << stats.map_output_records
@@ -543,8 +508,7 @@ StatusOr<JobOutput<Out>> RunJob(const JobSpec<In, K, V, Out>& spec,
             return internal::BuildFlatSegment<K, V>(records);
           };
       auto reduce_partition =
-          [&spec](uint32_t /*partition*/,
-                  const std::vector<const FlatSegment*>& segments,
+          [&spec](const std::vector<const FlatSegment*>& segments,
                   ReduceContext<Out>& ctx) {
             FlatMergeStream<K, V> stream(segments);
             auto reduce_group = spec.flat_reducer_factory();
@@ -566,11 +530,23 @@ StatusOr<JobOutput<Out>> RunJob(const JobSpec<In, K, V, Out>& spec,
   // ------------------- legacy comparison-sort + Codec pipeline -------------
   auto spill_partition =
       [&spec](std::vector<std::pair<K, V>>& records) -> StatusOr<SortedSegment> {
-    return internal::BuildSortedSegment<K, V>(records, spec.sort_less);
+    std::stable_sort(records.begin(), records.end(),
+                     [&](const std::pair<K, V>& a, const std::pair<K, V>& b) {
+                       return spec.sort_less(a.first, b.first);
+                     });
+    Buffer buf;
+    for (const auto& [key, value] : records) {
+      Codec<K>::Encode(key, buf);
+      Codec<V>::Encode(value, buf);
+    }
+    SortedSegment seg;
+    seg.num_records = records.size();
+    seg.bytes = buf.TakeBytes();
+    seg.byte_size = seg.bytes.size();
+    return seg;
   };
   auto reduce_partition =
-      [&spec](uint32_t /*partition*/,
-              const std::vector<const SortedSegment*>& segments,
+      [&spec](const std::vector<const SortedSegment*>& segments,
               ReduceContext<Out>& ctx) {
         auto reducer = spec.reducer_factory();
         MergeStream<K, V> stream(segments, spec.sort_less);

@@ -1,14 +1,20 @@
 #include "spq/cell_store.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <memory>
+#include <optional>
+#include <tuple>
 #include <utility>
 
 #include "common/buffer.h"
 #include "common/crc32c.h"
 #include "common/logging.h"
 #include "common/metrics.h"
+#include "common/stopwatch.h"
+#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "spq/wal.h"
 #include "text/keyword_set.h"
@@ -113,9 +119,8 @@ StatusOr<std::unique_ptr<CellStore>> CellStore::Build(
       };
   CellStore* store_ptr = store.get();
   auto reduce_partition =
-      [store_ptr](uint32_t /*partition*/,
-                  const std::vector<const mr::FlatSegment*>& segments,
-                  mr::ReduceContext<uint64_t>& ctx) -> Status {
+      [store_ptr](const std::vector<const mr::FlatSegment*>& segments,
+                  mr::ReduceContext<uint64_t>& /*ctx*/) -> Status {
     mr::FlatMergeStream<CellKey, ShuffleObject> stream(segments);
     std::vector<std::pair<CellKey, ShuffleObject>> rows;
     bool has = stream.Advance();
@@ -172,20 +177,6 @@ StatusOr<std::unique_ptr<CellStore>> CellStore::Build(
   store->text_summaries_ = std::make_shared<const std::vector<CellTextSummary>>(
       std::move(summaries));
   return store;
-}
-
-std::vector<std::vector<geo::CellId>> CellStore::DataCellsByPartition(
-    const std::function<uint32_t(const CellKey&, uint32_t)>& partitioner,
-    uint32_t num_partitions) const {
-  std::vector<std::vector<geo::CellId>> by_partition(num_partitions);
-  for (geo::CellId c = 0; c < num_cells(); ++c) {
-    // LIVE rows decide residency: a fully tombstoned (but uncompacted)
-    // cell is logically empty, exactly as a fresh build of the equivalent
-    // dataset would leave it (invariant M2).
-    if (cells_[c]->live_count == 0) continue;
-    by_partition[partitioner(CellKey{c, 0.0}, num_partitions)].push_back(c);
-  }
-  return by_partition;
 }
 
 StatusOr<const CellStore::Partition*> CellStore::Serve(
@@ -1035,46 +1026,12 @@ StatusOr<std::unique_ptr<CellStore>> CellStore::Compacted() const {
   return next;
 }
 
+// --------------------------------------------------------------------------
+// Direct warm route: the per-query feature side, mapped and grouped in
+// process and joined against the resident partitions.
+// --------------------------------------------------------------------------
+
 namespace {
-
-/// Shared reduce-side skeleton of both warm jobs: walk the partition's
-/// merged group stream, serve each group against the store, and (single
-/// query only) account a reduce group for every resident data cell the
-/// feature stream skipped — the cold path runs those groups too, they
-/// just produce no output, so warm counters must match.
-///
-/// `data_cells` is the partition's sorted resident-cell list (empty for
-/// the batched job, whose cold path never counts feature-less cells), and
-/// group cells arrive in ascending order on both shuffle paths, so the
-/// accounting is a two-pointer walk.
-template <typename Ctx>
-class DataOnlyGroupAccountant {
- public:
-  DataOnlyGroupAccountant(const std::vector<geo::CellId>* cells, Ctx& ctx)
-      : cells_(cells), ctx_(ctx) {}
-
-  void OnGroup(geo::CellId cell) {
-    if (cells_ == nullptr) return;
-    while (next_ < cells_->size() && (*cells_)[next_] < cell) {
-      ctx_.counters().Increment(counter::kGroups);
-      ++next_;
-    }
-    if (next_ < cells_->size() && (*cells_)[next_] == cell) ++next_;
-  }
-
-  void Finish() {
-    if (cells_ == nullptr) return;
-    while (next_ < cells_->size()) {
-      ctx_.counters().Increment(counter::kGroups);
-      ++next_;
-    }
-  }
-
- private:
-  const std::vector<geo::CellId>* cells_;
-  Ctx& ctx_;
-  std::size_t next_ = 0;
-};
 
 /// The cell-summary screen of one warm reduce group (see CellTextSummary
 /// for the soundness argument). Returns true when the group was fully
@@ -1138,91 +1095,226 @@ bool TrySignatureSkip(const CellStore& store, Algorithm algo,
   return true;
 }
 
-/// Runs one warm job for either key/output shape. `serve_group(key,
-/// cursor, ctx, scratch)` evaluates one group against the store;
-/// `cell_of(key)` projects the group key onto the store cell. The
-/// QueryScratch is per reduce task (parallel tasks each get their own),
-/// reused across the task's groups so the warm loop stays allocation-free
-/// in steady state.
-template <typename K, typename Out, typename ServeGroup, typename CellOf>
-StatusOr<mr::JobOutput<Out>> RunWarmJob(
-    const mr::JobSpec<ShuffleObject, K, ShuffleObject, Out>& spec,
-    const mr::JobConfig& config, const std::vector<ShuffleObject>& features,
-    const std::vector<std::vector<geo::CellId>>* data_cells,
-    ServeGroup&& serve_group, CellOf&& cell_of) {
-  if (config.shuffle_mode == mr::ShuffleMode::kCellBucketed) {
-    auto spill_partition =
-        [](const std::vector<std::pair<K, ShuffleObject>>& records) {
-          return mr::internal::BuildFlatSegment<K, ShuffleObject>(records);
-        };
-    auto reduce_partition =
-        [&](uint32_t r, const std::vector<const mr::FlatSegment*>& segments,
-            mr::ReduceContext<Out>& ctx) -> Status {
-      mr::FlatMergeStream<K, ShuffleObject> stream(segments);
-      DataOnlyGroupAccountant accountant(
-          data_cells != nullptr ? &(*data_cells)[r] : nullptr, ctx);
-      reduce_core::QueryScratch scratch;
-      bool has = stream.Advance();
-      while (has) {
-        const K group_key = stream.key();
-        accountant.OnGroup(cell_of(group_key));
-        mr::FlatGroupCursor<K, ShuffleObject> cursor(&stream,
-                                                     stream.bucket());
-        SPQ_RETURN_NOT_OK(serve_group(group_key, cursor, ctx, scratch));
-        has = cursor.FinishGroup();
+/// One map emission of the warm route: its key and the index of the
+/// feature that produced it. The SPQ mappers only emit borrowed aliases of
+/// the record they are mapping, so the index stands for the value.
+template <typename K>
+struct WarmEmission {
+  K key;
+  uint32_t feature;
+};
+
+/// The warm route's MapContext: appends compact emissions, with no
+/// partition fan-out and no segment encode.
+template <typename K>
+struct WarmMapContext final : mr::MapContext<K, ShuffleObject> {
+  void Emit(const K& key, const ShuffleObject& /*alias*/) override {
+    emissions.push_back({key, feature});
+  }
+  mr::Counters& counters() override { return task_counters; }
+
+  uint32_t feature = 0;  ///< index of the record being mapped
+  std::vector<WarmEmission<K>> emissions;
+  mr::Counters task_counters;
+};
+
+/// The query a group belongs to inside its cell: the single-query key has
+/// one group per cell, the batched key one per (cell, query).
+uint32_t QueryOf(const CellKey& /*key*/) { return 0; }
+uint32_t QueryOf(const BatchCellKey& key) { return key.query; }
+
+/// The order the MapReduce merge delivered a cell's records in: by query,
+/// then by the secondary `order`, ties in feature-input order (map splits
+/// are contiguous input ranges and the merge broke ties by split). A
+/// feature reaches a (cell, query) group at most once, so this is a strict
+/// total order and std::sort reproduces the merge exactly.
+template <typename K>
+bool MergeOrderLess(const WarmEmission<K>& a, const WarmEmission<K>& b) {
+  return std::tuple(QueryOf(a.key), a.key.order, a.feature) <
+         std::tuple(QueryOf(b.key), b.key.order, b.feature);
+}
+
+/// One sorted group's values for the reduce cores and TrySignatureSkip,
+/// which need only Next()/key()/value().
+template <typename K>
+struct WarmGroupCursor {
+  const WarmEmission<K>* next;
+  const WarmEmission<K>* end;
+  const std::vector<ShuffleObject>* features;
+  const WarmEmission<K>* current = nullptr;
+
+  bool Next() {
+    if (next == end) return false;
+    current = next++;
+    return true;
+  }
+  const K& key() const { return current->key; }
+  const ShuffleObject& value() const { return (*features)[current->feature]; }
+};
+
+/// The route under both warm entry points:
+///  - map: contiguous splits of `features` on `pool`, one mapper and one
+///    WarmMapContext per split;
+///  - group: a stable counting sort of the emissions by cell, scattered
+///    split by split, so each cell's run stays in feature-input order;
+///  - reduce: the reached cells in parallel, each run put in
+///    MergeOrderLess order and handed group by group to
+///    `serve_group(key, cursor, counters, scratch, out)`.
+/// `data_cells`, when set, counts the store's live-data cells; those no
+/// feature reaches are added to reduce.groups, as the cold single-query
+/// job runs a feature-less group in each.
+///
+/// JobStats: one map task per split, one reduce task per reduce slot, no
+/// shuffle bytes, and no task failures or spill files (faults, retries and
+/// spill_dir shape only cold jobs and the store build). Spans and
+/// spq.job.* metrics keep the runtime's names; job.shuffle is the sort.
+template <typename K, typename Out, typename ServeGroup>
+StatusOr<mr::JobOutput<Out>> RunWarmRoute(
+    const CellStore& store, const WarmMapperFactory<K>& make_mapper,
+    ThreadPool& pool, const std::vector<ShuffleObject>& features,
+    std::optional<uint32_t> data_cells, ServeGroup&& serve_group) {
+  mr::JobOutput<Out> result;
+  mr::JobStats& stats = result.stats;
+  stats.input_records = features.size();
+  TRACE_SPAN("job.run");
+  Stopwatch total_watch;
+  // ParallelFor runs the calling thread beside the pool's workers.
+  const std::size_t slots = pool.num_threads() + 1;
+
+  // ---------------------------------------------------------------- map --
+  // Several splits per slot, so a slot that starts late still gets work.
+  const std::size_t num_splits = std::min(features.size(), 4 * slots);
+  std::vector<WarmMapContext<K>> splits(num_splits);
+  stats.map_task_seconds.assign(num_splits, 0.0);
+  Stopwatch map_watch;
+  {
+    TRACE_SPAN("job.map");
+    ParallelFor(pool, num_splits, [&](std::size_t s) {
+      TRACE_SPAN("map.task");
+      Stopwatch task_watch;
+      auto mapper = make_mapper();
+      WarmMapContext<K>& ctx = splits[s];
+      const std::size_t end = features.size() * (s + 1) / num_splits;
+      for (std::size_t i = features.size() * s / num_splits; i < end; ++i) {
+        ctx.feature = static_cast<uint32_t>(i);
+        mapper->Map(features[i], ctx);
       }
-      accountant.Finish();
-      return stream.status();
-    };
-    return mr::internal::RunJobWith<mr::FlatSegment>(
-        spec, config, features, spill_partition, reduce_partition);
+      stats.map_task_seconds[s] = task_watch.ElapsedSeconds();
+    });
+  }
+  stats.map_seconds = map_watch.ElapsedSeconds();
+
+  // -------------------------------------------------------------- group --
+  // Cell c's run is grouped[cell_begin[c], cell_begin[c + 1]).
+  const uint32_t num_cells = store.num_cells();
+  std::vector<std::size_t> cell_begin(num_cells + 1, 0);
+  std::vector<WarmEmission<K>> grouped;
+  std::vector<geo::CellId> cells;  // cells some feature reached, ascending
+  {
+    TRACE_SPAN("job.shuffle");
+    for (WarmMapContext<K>& split : splits) {
+      stats.counters.MergeFrom(split.task_counters);
+      for (const WarmEmission<K>& e : split.emissions) {
+        ++cell_begin[e.key.cell + 1];  // the mappers use the store's grid
+      }
+    }
+    for (geo::CellId c = 0; c < num_cells; ++c) {
+      if (cell_begin[c + 1] > 0) cells.push_back(c);
+      cell_begin[c + 1] += cell_begin[c];
+    }
+    stats.map_output_records = cell_begin.back();
+    grouped.resize(cell_begin.back());
+    std::vector<std::size_t> fill(cell_begin.begin(), cell_begin.end() - 1);
+    for (WarmMapContext<K>& split : splits) {
+      for (const WarmEmission<K>& e : split.emissions) {
+        grouped[fill[e.key.cell]++] = e;
+      }
+      // Released once scattered: a large batch never holds two full copies.
+      std::vector<WarmEmission<K>>().swap(split.emissions);
+    }
   }
 
-  auto spill_partition =
-      [&spec](std::vector<std::pair<K, ShuffleObject>>& records) {
-        return mr::internal::BuildSortedSegment<K, ShuffleObject>(
-            records, spec.sort_less);
-      };
-  auto reduce_partition =
-      [&](uint32_t r, const std::vector<const mr::SortedSegment*>& segments,
-          mr::ReduceContext<Out>& ctx) -> Status {
-    mr::MergeStream<K, ShuffleObject> stream(segments, spec.sort_less);
-    DataOnlyGroupAccountant accountant(
-        data_cells != nullptr ? &(*data_cells)[r] : nullptr, ctx);
+  // ------------------------------------------------------------- reduce --
+  struct ReduceSlot {
     reduce_core::QueryScratch scratch;
-    bool has = stream.Advance();
-    while (has) {
-      const K group_key = stream.key();
-      accountant.OnGroup(cell_of(group_key));
-      mr::internal::GroupCursor<K, ShuffleObject> cursor(&stream, &group_key,
-                                                         &spec.group_equal);
-      SPQ_RETURN_NOT_OK(serve_group(group_key, cursor, ctx, scratch));
-      has = cursor.FinishGroup();
-    }
-    accountant.Finish();
-    return stream.status();
+    mr::Counters counters;
+    std::vector<Out> records;
+    Status status;
   };
-  return mr::internal::RunJobWith<mr::SortedSegment>(
-      spec, config, features, spill_partition, reduce_partition);
+  std::vector<ReduceSlot> reduce_slots(std::min(slots, cells.size()));
+  stats.reduce_task_seconds.assign(reduce_slots.size(), 0.0);
+  stats.reduce_input_records.assign(reduce_slots.size(), 0);
+  std::atomic<std::size_t> next_cell{0};
+  std::atomic<bool> failed{false};
+  Stopwatch reduce_watch;
+  {
+    TRACE_SPAN("job.reduce");
+    ParallelFor(pool, reduce_slots.size(), [&](std::size_t s) {
+      TRACE_SPAN("reduce.task");
+      Stopwatch task_watch;
+      ReduceSlot& slot = reduce_slots[s];
+      // Cells are claimed one at a time: their join costs are skewed.
+      for (std::size_t i = 0; !failed.load(std::memory_order_relaxed) &&
+                              (i = next_cell.fetch_add(1)) < cells.size();) {
+        WarmEmission<K>* run = grouped.data() + cell_begin[cells[i]];
+        WarmEmission<K>* const run_end =
+            grouped.data() + cell_begin[cells[i] + 1];
+        std::sort(run, run_end, MergeOrderLess<K>);
+        stats.reduce_input_records[s] += run_end - run;
+        while (run != run_end) {
+          const uint32_t query = QueryOf(run->key);
+          WarmEmission<K>* const group_end =
+              std::find_if(run, run_end, [query](const WarmEmission<K>& e) {
+                return QueryOf(e.key) != query;
+              });
+          WarmGroupCursor<K> cursor{run, group_end, &features};
+          slot.status = serve_group(run->key, cursor, slot.counters,
+                                    slot.scratch, slot.records);
+          if (!slot.status.ok()) {
+            failed.store(true, std::memory_order_relaxed);
+            break;
+          }
+          run = group_end;
+        }
+      }
+      stats.reduce_task_seconds[s] = task_watch.ElapsedSeconds();
+    });
+  }
+  stats.reduce_seconds = reduce_watch.ElapsedSeconds();
+
+  for (ReduceSlot& slot : reduce_slots) {
+    SPQ_RETURN_NOT_OK(slot.status);
+    stats.counters.MergeFrom(slot.counters);
+    result.records.insert(result.records.end(),
+                          std::make_move_iterator(slot.records.begin()),
+                          std::make_move_iterator(slot.records.end()));
+  }
+  if (data_cells.has_value()) {
+    uint32_t reached = 0;
+    for (geo::CellId c : cells) reached += store.live_record_count(c) > 0;
+    stats.counters.Increment(counter::kGroups, *data_cells - reached);
+  }
+  stats.total_seconds = total_watch.ElapsedSeconds();
+  mr::internal::RecordJobMetrics(stats);
+  return result;
 }
 
 }  // namespace
 
-StatusOr<mr::JobOutput<ResultEntry>> RunWarmQueryJob(
-    const CellStore& store, Algorithm algo, const Query& query,
-    const mr::JobSpec<ShuffleObject, CellKey, ShuffleObject, ResultEntry>&
-        spec,
-    const mr::JobConfig& config, const std::vector<ShuffleObject>& features,
-    const std::vector<std::vector<geo::CellId>>& data_cells,
+StatusOr<mr::JobOutput<ResultEntry>> RunWarmQuery(
+    const CellStore& store, uint32_t data_cells, Algorithm algo,
+    const Query& query, const WarmMapperFactory<CellKey>& make_mapper,
+    ThreadPool& pool, const std::vector<ShuffleObject>& features,
     const SpqJobOptions& options) {
   const uint64_t query_sig = text::TermSignature(query.keywords.ids());
   auto serve_group = [&](const CellKey& key, auto& cursor,
-                         mr::ReduceContext<ResultEntry>& ctx,
-                         reduce_core::QueryScratch& scratch) -> Status {
+                         mr::Counters& counters,
+                         reduce_core::QueryScratch& scratch,
+                         std::vector<ResultEntry>& out) -> Status {
     // Summary screen first: a skipped group never touches the partition —
     // no lazy materialization, no scratch reset, no feature scoring.
     if (TrySignatureSkip(store, algo, query, query_sig, options, key.cell,
-                         cursor, ctx.counters())) {
+                         cursor, counters)) {
       return Status::OK();
     }
     SPQ_ASSIGN_OR_RETURN(const CellStore::Partition* part,
@@ -1230,20 +1322,18 @@ StatusOr<mr::JobOutput<ResultEntry>> RunWarmQueryJob(
     reduce_core::FrozenCellRef cell_ref{&part->data, &part->index,
                                         &part->dead_rows};
     reduce_core::RunReduce(algo, options, query, cell_ref, scratch, cursor,
-                           ctx.counters(),
-                           [&ctx](const ResultEntry& e) { ctx.Emit(e); });
+                           counters,
+                           [&out](const ResultEntry& e) { out.push_back(e); });
     return Status::OK();
   };
-  return RunWarmJob<CellKey, ResultEntry>(
-      spec, config, features, &data_cells, serve_group,
-      [](const CellKey& key) { return key.cell; });
+  return RunWarmRoute<CellKey, ResultEntry>(store, make_mapper, pool,
+                                            features, data_cells, serve_group);
 }
 
-StatusOr<mr::JobOutput<BatchResultEntry>> RunWarmBatchJob(
+StatusOr<mr::JobOutput<BatchResultEntry>> RunWarmBatch(
     const CellStore& store, Algorithm algo, const std::vector<Query>& queries,
-    const mr::JobSpec<ShuffleObject, BatchCellKey, ShuffleObject,
-                      BatchResultEntry>& spec,
-    const mr::JobConfig& config, const std::vector<ShuffleObject>& features,
+    const WarmMapperFactory<BatchCellKey>& make_mapper, ThreadPool& pool,
+    const std::vector<ShuffleObject>& features,
     const SpqJobOptions& options) {
   std::vector<uint64_t> query_sigs;
   query_sigs.reserve(queries.size());
@@ -1251,14 +1341,15 @@ StatusOr<mr::JobOutput<BatchResultEntry>> RunWarmBatchJob(
     query_sigs.push_back(text::TermSignature(q.keywords.ids()));
   }
   auto serve_group = [&](const BatchCellKey& key, auto& cursor,
-                         mr::ReduceContext<BatchResultEntry>& ctx,
-                         reduce_core::QueryScratch& scratch) -> Status {
+                         mr::Counters& counters,
+                         reduce_core::QueryScratch& scratch,
+                         std::vector<BatchResultEntry>& out) -> Status {
     // The feature-only input cannot produce the data sentinel (query 0);
-    // out-of-range indices are drained defensively like the cold reducer.
+    // out-of-range indices are skipped defensively like the cold reducer.
     if (key.query == 0 || key.query > queries.size()) return Status::OK();
     const uint32_t q = key.query - 1;
     if (TrySignatureSkip(store, algo, queries[q], query_sigs[q], options,
-                         key.cell, cursor, ctx.counters())) {
+                         key.cell, cursor, counters)) {
       return Status::OK();
     }
     SPQ_ASSIGN_OR_RETURN(const CellStore::Partition* part,
@@ -1266,18 +1357,17 @@ StatusOr<mr::JobOutput<BatchResultEntry>> RunWarmBatchJob(
     reduce_core::FrozenCellRef cell_ref{&part->data, &part->index,
                                         &part->dead_rows};
     reduce_core::RunReduce(algo, options, queries[q], cell_ref, scratch,
-                           cursor, ctx.counters(),
-                           [&ctx, q](const ResultEntry& e) {
-                             ctx.Emit(BatchResultEntry{q, e});
+                           cursor, counters,
+                           [&out, q](const ResultEntry& e) {
+                             out.push_back(BatchResultEntry{q, e});
                            });
     return Status::OK();
   };
   // No data-only accounting: the cold batched reducer's sentinel groups
   // never reach a reduce core, so feature-less cells count no group there
   // either.
-  return RunWarmJob<BatchCellKey, BatchResultEntry>(
-      spec, config, features, /*data_cells=*/nullptr, serve_group,
-      [](const BatchCellKey& key) { return key.cell; });
+  return RunWarmRoute<BatchCellKey, BatchResultEntry>(
+      store, make_mapper, pool, features, std::nullopt, serve_group);
 }
 
 }  // namespace spq::core

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -88,11 +89,12 @@ struct CellTextSummary {
 ///     maintained incrementally (CellGridIndex::Sync) instead of being
 ///     rebuilt per reduce group.
 ///
-/// Warm queries then shuffle only their features (see RunWarmQueryJob /
-/// RunWarmBatchJob): each reduce group joins its feature stream against
-/// the resident partition of its cell — the data side skips map and
-/// shuffle entirely. Per-query state (scores, report bitmaps) lives in the
-/// caller's reduce_core::QueryScratch, never in the store.
+/// Warm queries then skip the MapReduce job altogether (see RunWarmQuery /
+/// RunWarmBatch): their features are mapped and grouped by cell in
+/// process, and each group joins against the resident partition of its
+/// cell — the data side is never mapped or shuffled again. Per-query state
+/// (scores, report bitmaps) lives in the caller's
+/// reduce_core::QueryScratch, never in the store.
 ///
 /// The store is built for a maximum radius class: the grid geometry is
 /// chosen for `max_radius`, and SpqEngine::Query refuses (loudly, via the
@@ -375,15 +377,6 @@ class CellStore {
   /// returned partition stays owned by the store and is immutable.
   StatusOr<const Partition*> Serve(geo::CellId cell) const;
 
-  /// Sorted list, per reduce partition, of the store cells that hold data
-  /// — the resident half of the warm join, used by the single-query job
-  /// to account reduce groups for cells the feature stream never visits.
-  /// Fully determined by (store, partitioner, num_partitions), so the
-  /// engine computes it once at BuildStore() time, not per query.
-  std::vector<std::vector<geo::CellId>> DataCellsByPartition(
-      const std::function<uint32_t(const CellKey&, uint32_t)>& partitioner,
-      uint32_t num_partitions) const;
-
   /// True when this store was opened from a checkpoint (Recover).
   bool recovered() const { return checkpoint_epoch_ != 0; }
   /// Committed epoch this store serves from; 0 for built stores.
@@ -477,44 +470,41 @@ class CellStore {
   mutable std::atomic<uint64_t> cells_rebuilt_{0};
 };
 
-/// Runs one warm single-query job: maps and shuffles `features` (feature
-/// records only — the engine keeps them flattened separately) with the
-/// spec's mapper/partitioner, then joins each reduce group against the
-/// store's resident partition for its cell. `data_cells` is the store's
-/// DataCellsByPartition result for this spec's partitioner and
-/// config.num_reduce_tasks (cached by the engine across queries). Both
-/// shuffle modes are supported and produce results and SPQ counters
-/// bit-identical to the cold single-shot path; of the job-level stats,
-/// the map/shuffle figures cover only the feature side (the quantity the
-/// store amortizes away).
+/// Builds one mapper per map split of the warm route: the mapper_factory
+/// of MakeSpqJobSpec / MakeBatchSpqJobSpec.
+template <typename K>
+using WarmMapperFactory = std::function<
+    std::unique_ptr<mapreduce::Mapper<ShuffleObject, K, ShuffleObject>>()>;
+
+/// Answers one query from the store by the direct warm route, with no
+/// MapReduce job: `features` (the engine's borrowed feature records) are
+/// mapped in contiguous splits on `pool` into compact (key, feature index)
+/// emissions, grouped by cell with a stable counting sort in the order the
+/// cold job's merge delivers, and joined group by group, in parallel,
+/// against the cells' resident partitions through the reduce cores.
+/// `data_cells` counts the store cells with live data; those no feature
+/// reaches count as reduce groups, as in the cold job. Results and SPQ
+/// counters are bit-identical to the cold single-shot path; the JobStats
+/// describe the route (its splits and reduce slots as tasks, no shuffle
+/// bytes).
 ///
 /// With options.signature_prefilter on, each group is first screened
 /// against its cell's CellTextSummary; a group the summary proves
 /// score-less is skipped whole — no Serve, no score reset, no feature
 /// scoring — with the baseline's exact counter footprint replayed
-/// (reduce.cells_pruned / reduce.signature_checks record the screening
-/// itself). Results and the pre-existing counters stay bit-identical to
-/// signature_prefilter=off; see store_equivalence / kernel_equivalence
-/// tests.
-StatusOr<mapreduce::JobOutput<ResultEntry>> RunWarmQueryJob(
-    const CellStore& store, Algorithm algo, const Query& query,
-    const mapreduce::JobSpec<ShuffleObject, CellKey, ShuffleObject,
-                             ResultEntry>& spec,
-    const mapreduce::JobConfig& config,
-    const std::vector<ShuffleObject>& features,
-    const std::vector<std::vector<geo::CellId>>& data_cells,
+/// (reduce.cells_pruned / reduce.signature_checks record the screening).
+StatusOr<mapreduce::JobOutput<ResultEntry>> RunWarmQuery(
+    const CellStore& store, uint32_t data_cells, Algorithm algo,
+    const Query& query, const WarmMapperFactory<CellKey>& make_mapper,
+    ThreadPool& pool, const std::vector<ShuffleObject>& features,
     const SpqJobOptions& options);
 
-/// Batched twin of RunWarmQueryJob: every (cell, query) reduce group joins
-/// against the cell's ONE resident partition and its shared cached index —
-/// the batched job's former per-cell replay cache, now a view over the
-/// store. Applies the same per-group summary screen as RunWarmQueryJob,
-/// per (cell, query) group.
-StatusOr<mapreduce::JobOutput<BatchResultEntry>> RunWarmBatchJob(
+/// Batched twin of RunWarmQuery: every (cell, query) group joins against
+/// the cell's one resident partition and its shared index, with the same
+/// per-group summary screen.
+StatusOr<mapreduce::JobOutput<BatchResultEntry>> RunWarmBatch(
     const CellStore& store, Algorithm algo, const std::vector<Query>& queries,
-    const mapreduce::JobSpec<ShuffleObject, BatchCellKey, ShuffleObject,
-                             BatchResultEntry>& spec,
-    const mapreduce::JobConfig& config,
+    const WarmMapperFactory<BatchCellKey>& make_mapper, ThreadPool& pool,
     const std::vector<ShuffleObject>& features,
     const SpqJobOptions& options);
 

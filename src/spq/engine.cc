@@ -69,55 +69,30 @@ void MaybeLogSlowQuery(const EngineOptions& options, const char* kind,
                << job.counters.Get(counter::kGroups) << " reduce groups";
 }
 
-/// Extension: LPT cell->reducer assignment from per-cell cost estimates
-/// (Section 7.2.4's imbalance countermeasure; see balanced_partitioner.h).
-/// Null when the options don't call for it. The computation scans the
-/// whole dataset, so the warm path computes it ONCE at BuildStore() and
-/// reuses it per query; the cold path derives it per Execute() (the grid
-/// may differ per call there).
-std::shared_ptr<const std::vector<uint32_t>> MakeBalancedCellAssignment(
+/// Extension: routes the cold job's cells to reducers by an LPT assignment
+/// from per-cell cost estimates (Section 7.2.4's imbalance countermeasure;
+/// see balanced_partitioner.h) when the options call for it. Cells outside
+/// the assignment (clamped out-of-grid, defensive) keep CellPartitioner.
+void MaybeApplyBalancedPartitioner(
     const Dataset& dataset, const EngineOptions& options,
-    const geo::UniformGrid& grid, uint32_t num_reduce_tasks) {
-  if (options.partitioner != PartitionerKind::kBalanced ||
-      num_reduce_tasks >= grid.num_cells()) {
-    return nullptr;
-  }
-  return std::make_shared<const std::vector<uint32_t>>(
-      BalancedAssignment(ComputeCellLoad(dataset, grid), num_reduce_tasks));
-}
-
-/// The one cell->partition rule every consumer must share: the balanced
-/// assignment when present (modulo fallback for clamped out-of-grid
-/// cells, defensive), plain CellPartitioner otherwise. Feature routing
-/// (ApplyCellAssignment) and the warm path's resident-cell group
-/// accounting (store_data_cells_) both go through here — they must agree
-/// for every cell or the warm reduce.groups counter desynchronizes.
-uint32_t AssignedPartition(
-    const std::shared_ptr<const std::vector<uint32_t>>& assignment,
-    const CellKey& key, uint32_t parts) {
-  if (assignment != nullptr && key.cell < assignment->size()) {
-    return (*assignment)[key.cell];
-  }
-  return CellPartitioner(key, parts);
-}
-
-/// Routes the spec's features through `assignment`; no-op when it is null
-/// (the spec's default partitioner already equals AssignedPartition's
-/// null-assignment behavior).
-void ApplyCellAssignment(
-    std::shared_ptr<const std::vector<uint32_t>> assignment,
+    const geo::UniformGrid& grid, uint32_t num_reduce_tasks,
     mapreduce::JobSpec<ShuffleObject, CellKey, ShuffleObject, ResultEntry>&
         spec) {
-  if (assignment == nullptr) return;
-  spec.partitioner = [assignment = std::move(assignment)](const CellKey& key,
-                                                          uint32_t parts) {
-    return AssignedPartition(assignment, key, parts);
+  if (options.partitioner != PartitionerKind::kBalanced ||
+      num_reduce_tasks >= grid.num_cells()) {
+    return;
+  }
+  auto assignment = std::make_shared<const std::vector<uint32_t>>(
+      BalancedAssignment(ComputeCellLoad(dataset, grid), num_reduce_tasks));
+  spec.partitioner = [assignment](const CellKey& key, uint32_t parts) {
+    return key.cell < assignment->size() ? (*assignment)[key.cell]
+                                         : CellPartitioner(key, parts);
   };
 }
 
 /// Assembles the SPQ-level measurements of one single-query job.
 SpqResult MakeSpqResult(const core::Query& query, Algorithm algo,
-                        uint32_t grid_size, uint32_t num_reduce_tasks,
+                        uint32_t grid_size,
                         mapreduce::JobOutput<ResultEntry>&& output) {
   SpqResult result;
   result.entries = MergeTopK(std::move(output.records), query.k);
@@ -125,7 +100,8 @@ SpqResult MakeSpqResult(const core::Query& query, Algorithm algo,
   SpqRunInfo& info = result.info;
   info.algorithm = algo;
   info.grid_size = grid_size;
-  info.num_reduce_tasks = num_reduce_tasks;
+  info.num_reduce_tasks =
+      static_cast<uint32_t>(output.stats.reduce_task_seconds.size());
   const mapreduce::Counters& counters = output.stats.counters;
   info.features_kept = counters.Get(counter::kFeaturesKept);
   info.features_pruned = counters.Get(counter::kFeaturesPruned);
@@ -185,8 +161,8 @@ SpqEngine::SpqEngine(Dataset dataset, EngineOptions options)
   for (std::size_t i = input_.size() - num_features; i < input_.size(); ++i) {
     feature_input_.push_back(input_[i].Borrowed());
   }
-  // One pool for every warm job this engine runs, sized like the per-job
-  // cluster shape so sharing does not change simulated parallelism.
+  // One pool for every warm query this engine answers, sized like the
+  // cold jobs' worker count.
   warm_pool_ = std::make_unique<ThreadPool>(
       options_.num_workers > 0
           ? options_.num_workers
@@ -261,14 +237,12 @@ StatusOr<SpqResult> SpqEngine::Execute(const core::Query& query,
   // --- the single MapReduce job ---
   const SpqJobOptions job_options = MakeJobOptions();
   auto spec = MakeSpqJobSpec(algo, query, grid, job_options);
-  ApplyCellAssignment(MakeBalancedCellAssignment(dataset_, options_, grid,
-                                                 config.num_reduce_tasks),
-                      spec);
+  MaybeApplyBalancedPartitioner(dataset_, options_, grid,
+                                config.num_reduce_tasks, spec);
   SPQ_ASSIGN_OR_RETURN(auto output, mapreduce::RunJob(spec, config, input_));
 
   // --- centralized merge of per-cell top-k lists (cheap: <= k * cells) ---
-  return MakeSpqResult(query, algo, grid_size, config.num_reduce_tasks,
-                       std::move(output));
+  return MakeSpqResult(query, algo, grid_size, std::move(output));
 }
 
 StatusOr<SpqBatchResult> SpqEngine::ExecuteBatch(
@@ -329,50 +303,23 @@ Status SpqEngine::BuildStore(double max_radius, uint32_t grid_size_override) {
   std::lock_guard<std::mutex> lock(mutate_mu_);
   data_locator_.clear();
   locator_ready_ = false;
-  PublishSnapshot(MakeSnapshot(std::move(store)));
+  PublishStore(std::move(store));
   return Status::OK();
 }
 
-void SpqEngine::PublishSnapshot(std::shared_ptr<const StoreSnapshot> next) {
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  snapshot_ = std::move(next);
-}
-
-std::shared_ptr<const StoreSnapshot> SpqEngine::MakeSnapshot(
-    std::unique_ptr<const CellStore> store, const StoreSnapshot* prev) const {
-  // Warm queries share the store grid and cluster shape, so everything a
-  // query would otherwise rederive — the balanced assignment (a
-  // full-dataset scan) and the per-partition resident-data cell lists
-  // (an all-cells scan) — is computed once per generation, not per
-  // query. Shared by BuildStore and OpenStore: a recovered store carries
-  // the same grid and record counts as the build it checkpointed, so the
-  // derived wiring — and therefore warm behavior — is identical.
+void SpqEngine::PublishStore(std::unique_ptr<const CellStore> store) {
   TRACE_SPAN("store.publish");
   EngineRegistryMetrics::Get().store_publishes.Increment();
   auto snap = std::make_shared<StoreSnapshot>();
-  snap->store = std::move(store);
-  const geo::UniformGrid& grid = snap->store->grid();
-  const uint32_t num_reduce_tasks =
-      MakeClusterConfig(grid.num_cells(), "cellstore-wire").num_reduce_tasks;
-  if (prev != nullptr) {
-    // Mutation publish: the balanced assignment was computed over the
-    // construction-time dataset and is kept as-is rather than rescanning
-    // per mutation. Safe for bit-identity — reducer assignment decides
-    // only WHERE a group runs, never its results or counters (all SPQ
-    // counters are job-global sums, and the final merge imposes a strict
-    // total order) — but the resident-cell lists are recomputed below: a
-    // cell can gain its first or lose its last live row.
-    snap->balanced = prev->balanced;
-  } else {
-    snap->balanced = MakeBalancedCellAssignment(dataset_, options_, grid,
-                                                num_reduce_tasks);
+  // LIVE rows decide residency: a fully tombstoned (but uncompacted) cell
+  // is logically empty, exactly as a fresh build of the equivalent dataset
+  // would leave it (invariant M2). O(cells) per publish, never per query.
+  for (geo::CellId c = 0; c < store->num_cells(); ++c) {
+    snap->data_cells += store->live_record_count(c) > 0;
   }
-  snap->data_cells = snap->store->DataCellsByPartition(
-      [&snap](const CellKey& key, uint32_t parts) {
-        return AssignedPartition(snap->balanced, key, parts);
-      },
-      num_reduce_tasks);
-  return snap;
+  snap->store = std::move(store);
+  std::lock_guard<std::mutex> lock(snapshot_mu_);
+  snapshot_ = std::move(snap);
 }
 
 void SpqEngine::EnsureLocatorLocked() const {
@@ -402,7 +349,7 @@ Status SpqEngine::Insert(const DataObject& object) {
   mut.compact_dead_fraction = options_.compact_dead_fraction;
   SPQ_ASSIGN_OR_RETURN(auto store, snap->store->WithInsert(object, mut));
   data_locator_.emplace(object.id, object.pos);
-  PublishSnapshot(MakeSnapshot(std::move(store), snap.get()));
+  PublishStore(std::move(store));
   return Status::OK();
 }
 
@@ -427,7 +374,7 @@ Status SpqEngine::Delete(ObjectId id) {
   mut.compact_dead_fraction = options_.compact_dead_fraction;
   SPQ_ASSIGN_OR_RETURN(auto store, snap->store->WithDelete(id, cell, mut));
   data_locator_.erase(it);
-  PublishSnapshot(MakeSnapshot(std::move(store), snap.get()));
+  PublishStore(std::move(store));
   return Status::OK();
 }
 
@@ -439,7 +386,7 @@ Status SpqEngine::CompactStore() {
         "no resident CellStore: call BuildStore() before CompactStore()");
   }
   SPQ_ASSIGN_OR_RETURN(auto store, snap->store->Compacted());
-  PublishSnapshot(MakeSnapshot(std::move(store), snap.get()));
+  PublishStore(std::move(store));
   return Status::OK();
 }
 
@@ -462,7 +409,7 @@ Status SpqEngine::OpenStore(dfs::MiniDfs& dfs, const std::string& name) {
   std::lock_guard<std::mutex> lock(mutate_mu_);
   data_locator_.clear();
   locator_ready_ = false;
-  PublishSnapshot(MakeSnapshot(std::move(store)));
+  PublishStore(std::move(store));
   return Status::OK();
 }
 
@@ -510,21 +457,14 @@ StatusOr<SpqResult> SpqEngine::Query(const core::Query& query,
     return result;
   }
 
-  const geo::UniformGrid& grid = store.grid();
-  mapreduce::JobConfig config =
-      MakeClusterConfig(grid.num_cells(), AlgorithmName(algo) + "-warm");
-  config.worker_pool = warm_pool_.get();
-
   const SpqJobOptions job_options = MakeJobOptions();
-  auto spec = MakeSpqJobSpec(algo, query, grid, job_options);
-  ApplyCellAssignment(snap->balanced, spec);
+  const auto spec = MakeSpqJobSpec(algo, query, store.grid(), job_options);
   SPQ_ASSIGN_OR_RETURN(
       auto output,
-      RunWarmQueryJob(store, algo, query, spec, config, feature_input_,
-                      snap->data_cells, job_options));
-  SpqResult result = MakeSpqResult(query, algo, grid.nx(),
-                                   config.num_reduce_tasks,
-                                   std::move(output));
+      RunWarmQuery(store, snap->data_cells, algo, query, spec.mapper_factory,
+                   *warm_pool_, feature_input_, job_options));
+  SpqResult result =
+      MakeSpqResult(query, algo, store.grid().nx(), std::move(output));
   result.info.warm_path = true;
   EngineRegistryMetrics::Get().warm_query_ns.Record(watch.ElapsedNanos());
   MaybeLogSlowQuery(options_, "warm query", algo, watch.ElapsedMillis(),
@@ -575,17 +515,12 @@ StatusOr<SpqBatchResult> SpqEngine::QueryBatch(
     return result;
   }
 
-  const geo::UniformGrid& grid = store.grid();
-  mapreduce::JobConfig config = MakeClusterConfig(
-      grid.num_cells(), AlgorithmName(algo) + "-warm-batch");
-  config.worker_pool = warm_pool_.get();
-
   const SpqJobOptions job_options = MakeJobOptions();
-  auto spec = MakeBatchSpqJobSpec(algo, queries, grid, job_options);
+  const auto spec =
+      MakeBatchSpqJobSpec(algo, queries, store.grid(), job_options);
   SPQ_ASSIGN_OR_RETURN(
-      auto output,
-      RunWarmBatchJob(store, algo, queries, spec, config, feature_input_,
-                      job_options));
+      auto output, RunWarmBatch(store, algo, queries, spec.mapper_factory,
+                                *warm_pool_, feature_input_, job_options));
   SpqBatchResult result = MakeBatchResult(queries, std::move(output));
   result.warm_path = true;
   EngineRegistryMetrics::Get().warm_batch_ns.Record(watch.ElapsedNanos());

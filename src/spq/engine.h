@@ -63,6 +63,13 @@ struct ServingOptions {
 };
 
 /// \brief Tunables of a query execution on the simulated cluster.
+///
+/// The MapReduce knobs — num_map_tasks, num_reduce_tasks, partitioner,
+/// shuffle_mode, faults, max_task_attempts and spill_dir — shape only the
+/// cold jobs (Execute/ExecuteBatch and the cold fallback) and the store
+/// build. Warm Query()/QueryBatch() run no MapReduce job: they map and
+/// group features in process on the engine's num_workers-thread pool (see
+/// RunWarmQuery in cell_store.h).
 struct EngineOptions {
   /// Cells per side of the query-time grid (the paper's "grid size";
   /// 50 means a 50x50 grid). 0 = choose automatically via AdviseGridSize.
@@ -132,14 +139,13 @@ struct EngineOptions {
   double slow_query_ms = 250.0;
 };
 
-/// \brief One immutable, fully wired generation of the warm serving
-/// state: the resident CellStore plus everything the engine derives from
-/// its grid (the balanced cell->reducer assignment and the per-partition
-/// resident-data cell lists). Published RCU-style: the engine swaps a
-/// `shared_ptr<const StoreSnapshot>` atomically on BuildStore/OpenStore,
-/// and every warm query pins the snapshot it starts on for its whole
-/// run — a rebuild under traffic retires the old generation only after
-/// the last in-flight query drops its reference.
+/// \brief One immutable generation of the warm serving state: the
+/// resident CellStore plus its count of cells holding live data.
+/// Published RCU-style: the engine swaps a `shared_ptr<const
+/// StoreSnapshot>` on BuildStore/OpenStore and every mutation, and every
+/// warm query pins the snapshot it starts on for its whole run — a
+/// rebuild under traffic retires the old generation only after the last
+/// in-flight query drops its reference.
 struct StoreSnapshot {
   StoreSnapshot();
   ~StoreSnapshot();
@@ -150,11 +156,9 @@ struct StoreSnapshot {
   /// Checkpoint, accessors) are const; first-touch materialization is an
   /// internally latched cache fill (see cell_store.h).
   std::unique_ptr<const CellStore> store;
-  /// LPT cell->reducer assignment, or null when options don't call for
-  /// one. Computed once per snapshot (a full-dataset scan).
-  std::shared_ptr<const std::vector<uint32_t>> balanced;
-  /// Per-partition resident-data cell lists for warm group accounting.
-  std::vector<std::vector<geo::CellId>> data_cells;
+  /// Cells with live data rows: the warm route counts a reduce group for
+  /// each one no feature reaches, as the cold job does.
+  uint32_t data_cells = 0;
 };
 
 /// \brief Derived, SPQ-specific measurements of one query execution,
@@ -181,11 +185,10 @@ struct SpqRunInfo {
   /// rate is cells_pruned / signature_checks.
   uint64_t signature_checks = 0;
 
-  /// True when the run was served from the resident CellStore (warm path:
-  /// only features were mapped and shuffled). All counters above are
-  /// identical to the cold path's; of the job-level stats, the map/shuffle
-  /// figures (map_output_records, shuffle_bytes, map.data_objects) cover
-  /// only the feature side.
+  /// True when the run was served from the resident CellStore by the
+  /// direct warm route (cell_store.h). All counters above are identical to
+  /// the cold path's; the job stats describe the route: only features were
+  /// mapped, shuffle_bytes is 0 and num_reduce_tasks counts its slots.
   bool warm_path = false;
   /// True when Query()/QueryBatch() had to fall back to the cold
   /// single-shot path because the radius exceeded the store's build
@@ -237,9 +240,9 @@ struct SpqBatchResult {
 ///
 ///   Warm (resident): BuildStore() runs the dataset-side map/shuffle ONCE
 ///   into a CellStore of per-cell flat-arena partitions (cell_store.h);
-///   Query()/QueryBatch() then shuffle only their features and join each
-///   reduce group against the resident partition, with one cached,
-///   incrementally maintained spatial index per cell. Results and SPQ
+///   Query()/QueryBatch() then map only their features, group them by
+///   cell in process and join each group against the resident partition
+///   and its cached spatial index — no MapReduce job. Results and SPQ
 ///   counters are bit-identical to the cold path (store_equivalence
 ///   tests); a query whose radius exceeds the store's build radius falls
 ///   back to the cold path, loudly (see SpqRunInfo::cold_fallback).
@@ -271,9 +274,8 @@ struct SpqBatchResult {
 /// construction/destruction and overlapping BuildStore/OpenStore calls
 /// racing EACH OTHER (last publication wins; serialize them if the
 /// winner matters; both serialize against mutations internally). Warm
-/// jobs share one engine-owned worker pool, so concurrent queries
-/// contend for the same simulated cluster rather than multiplying
-/// threads.
+/// queries share one engine-owned worker pool, so concurrent queries
+/// contend for the same threads rather than multiplying them.
 class SpqEngine {
  public:
   /// The dataset is copied into the engine (the engine owns its "HDFS").
@@ -317,7 +319,7 @@ class SpqEngine {
   /// warm traffic, checkpoints and store swaps.
   StatusOr<SpqResult> Query(const core::Query& query, Algorithm algo) const;
 
-  /// Batched warm-path twin of Query(): one feature-side job, every
+  /// Batched warm-path twin of Query(): one feature-side pass, every
   /// (cell, query) group joined against the cell's shared resident
   /// partition and cached index. Falls back whole-batch if ANY radius
   /// exceeds the store's build radius (same concurrency contract as
@@ -366,11 +368,10 @@ class SpqEngine {
                                      const std::string& name) const;
 
   /// Opens the resident store from the newest committed checkpoint under
-  /// `<name>/` and wires the warm serving path exactly as BuildStore()
-  /// does (balanced assignment, resident-cell lists, borrowed feature
-  /// input) — warm queries behave bit-identically to a store built in
-  /// this process. Only the WAL tail and manifest are read eagerly; each
-  /// cell's partition loads (verified) at its first query touch.
+  /// `<name>/` and publishes it exactly as BuildStore() does — warm
+  /// queries behave bit-identically to a store built in this process.
+  /// Only the WAL tail and manifest are read eagerly; each cell's
+  /// partition loads (verified) at its first query touch.
   /// NotFound when no committed checkpoint is usable — callers typically
   /// fall back to BuildStore(); InvalidArgument when the checkpoint was
   /// taken over a different dataset.
@@ -415,29 +416,17 @@ class SpqEngine {
  private:
   /// Shared cluster-shape derivation (workers / map / reduce task counts,
   /// faults, spill, shuffle mode) of every job this engine starts — the
-  /// cold, build and warm paths cannot drift apart.
+  /// cold and build jobs cannot drift apart.
   mapreduce::JobConfig MakeClusterConfig(uint32_t default_reduce_tasks,
                                          std::string job_name) const;
   /// Same for the per-job SPQ options (prefilter, join mode, kernel mode,
   /// signature screening).
   SpqJobOptions MakeJobOptions() const;
-  /// Post-store wiring shared by BuildStore, OpenStore and the mutation
-  /// path: derives the balanced cell assignment and per-partition
-  /// resident-cell lists from the store's grid and returns the complete
-  /// generation, ready to publish into snapshot_. When `prev` is given
-  /// (mutation publishes), its balanced assignment is reused instead of
-  /// rescanning the dataset — bit-identity-safe, because reducer
-  /// assignment never affects results or counters (all SPQ counters are
-  /// job-global sums and the merge order is a strict total order); the
-  /// resident-cell lists ARE recomputed (a cell can gain or lose its last
-  /// live row).
-  std::shared_ptr<const StoreSnapshot> MakeSnapshot(
-      std::unique_ptr<const CellStore> store,
-      const StoreSnapshot* prev = nullptr) const;
-  /// Swaps `next` in as the current generation (write side of
-  /// snapshot()'s pin). Callers hold mutate_mu_, so publishes are
-  /// serialized; snapshot_mu_ is taken only for the pointer swap.
-  void PublishSnapshot(std::shared_ptr<const StoreSnapshot> next);
+  /// Publishes `store` as the current generation (write side of
+  /// snapshot()'s pin), with its live-data cell count. Callers hold
+  /// mutate_mu_, so publishes are serialized; snapshot_mu_ is taken only
+  /// for the pointer swap.
+  void PublishStore(std::unique_ptr<const CellStore> store);
   /// Builds data_locator_ from the CURRENT logical dataset if it is not
   /// ready. Caller holds mutate_mu_.
   void EnsureLocatorLocked() const;
@@ -451,13 +440,13 @@ class SpqEngine {
   std::vector<ShuffleObject> feature_input_;
   /// Current warm serving generation; see StoreSnapshot. Readers pin via
   /// snapshot(); BuildStore/OpenStore/mutations publish via
-  /// PublishSnapshot(). snapshot_mu_ guards ONLY the pointer swap/copy —
+  /// PublishStore(). snapshot_mu_ guards ONLY the pointer swap/copy —
   /// never held across a query or a build.
   mutable std::mutex snapshot_mu_;
   std::shared_ptr<const StoreSnapshot> snapshot_;
-  /// One persistent worker pool shared by every warm job this engine
-  /// runs (JobConfig::worker_pool): concurrent queries contend for the
-  /// same simulated cluster instead of spawning a pool per job.
+  /// One persistent worker pool shared by every warm query this engine
+  /// answers: the warm route's map splits and reduce slots run on it, and
+  /// concurrent queries contend for it instead of spawning threads.
   std::unique_ptr<ThreadPool> warm_pool_;
   /// Serializes Insert/Delete/CompactStore against each other and against
   /// BuildStore/OpenStore's locator invalidation. Never held while a

@@ -94,6 +94,8 @@ inline std::vector<ResultEntry> MergeTopK(std::vector<ResultEntry> candidates,
     std::nth_element(candidates.begin(), candidates.begin() + k,
                      candidates.end(), ResultBetter);
     candidates.resize(k);
+    // The caller keeps the result: release the candidate-sized buffer.
+    candidates.shrink_to_fit();
   }
   std::sort(candidates.begin(), candidates.end(), ResultBetter);
   return candidates;

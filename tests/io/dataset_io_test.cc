@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "common/buffer.h"
 #include "datagen/generator.h"
 
 namespace spq::io {
@@ -71,6 +72,74 @@ TEST(BinaryFormatTest, RejectsTrailingGarbage) {
   std::vector<uint8_t> bytes = EncodeDataset(SampleDataset());
   bytes.push_back(0xFF);
   EXPECT_TRUE(DecodeDataset(bytes).status().IsInvalidArgument());
+}
+
+// Element counts the payload cannot hold are rejected as InvalidArgument
+// before anything is reserved for them: reserving a lying 2^62-element
+// count used to throw std::length_error and abort the process.
+TEST(BinaryFormatTest, RejectsLyingCounts) {
+  constexpr uint64_t kHuge = uint64_t{1} << 62;
+  // Magic and bounds; the rows follow.
+  auto header = [] {
+    Buffer buf;
+    buf.PutBytes("SPQD1", 5);
+    for (double v : {0.0, 0.0, 1.0, 1.0}) buf.PutDouble(v);
+    return buf;
+  };
+  auto feature_row = [](Buffer& buf, uint64_t keyword_count) {
+    buf.PutVarint(7);
+    buf.PutDouble(0.5);
+    buf.PutDouble(0.5);
+    buf.PutVarint(keyword_count);
+    buf.PutVarint(3);  // one keyword's bytes
+  };
+  struct Case {
+    const char* name;
+    std::vector<uint8_t> bytes;
+  };
+  std::vector<Case> cases;
+  {
+    Buffer buf = header();
+    buf.PutVarint(kHuge);
+    cases.push_back({"huge data count", buf.TakeBytes()});
+  }
+  {
+    Buffer buf = header();
+    buf.PutVarint(0);
+    buf.PutVarint(kHuge);
+    cases.push_back({"huge feature count", buf.TakeBytes()});
+  }
+  {
+    Buffer buf = header();
+    buf.PutVarint(0);
+    buf.PutVarint(1);
+    feature_row(buf, kHuge);
+    cases.push_back({"huge keyword count", buf.TakeBytes()});
+  }
+  {
+    // Three 17-byte data rows and a feature count byte: 52 bytes hold
+    // three rows, not the four claimed.
+    Dataset dataset;
+    dataset.bounds = {0, 0, 1, 1};
+    dataset.data = {{1, {0.1, 0.1}}, {2, {0.2, 0.2}}, {3, {0.3, 0.3}}};
+    std::vector<uint8_t> bytes = EncodeDataset(dataset);
+    ASSERT_EQ(bytes[5 + 32], 3);  // the data count varint
+    bytes[5 + 32] = 4;
+    cases.push_back({"data count one past the payload", std::move(bytes)});
+  }
+  {
+    // One keyword byte left after the count, which claims two.
+    Buffer buf = header();
+    buf.PutVarint(0);
+    buf.PutVarint(1);
+    feature_row(buf, 2);
+    cases.push_back({"keyword count one past the payload", buf.TakeBytes()});
+  }
+  for (const Case& c : cases) {
+    auto decoded = DecodeDataset(c.bytes);
+    EXPECT_TRUE(decoded.status().IsInvalidArgument())
+        << c.name << ": " << decoded.status().ToString();
+  }
 }
 
 TEST(DfsDatasetTest, StoreAndLoadThroughDfs) {

@@ -89,5 +89,41 @@ TEST(CodecTest, DecodeFailsOnTruncation) {
   EXPECT_FALSE(Codec<core::ShuffleObject>::Decode(reader, &out).ok());
 }
 
+// A vector count larger than the bytes left is rejected as InvalidArgument
+// before anything is reserved: every element takes at least one byte.
+TEST(CodecTest, DecodeRejectsLyingVectorCounts) {
+  struct Case {
+    const char* name;
+    uint64_t count;
+    std::size_t elements;  // encoded after the count
+  };
+  const Case cases[] = {
+      {"huge count", uint64_t{1} << 62, 2},
+      {"count one past the payload", 4, 3},
+      {"count with no payload", 1, 0},
+  };
+  for (const Case& c : cases) {
+    Buffer buf;
+    buf.PutVarint(c.count);
+    for (std::size_t i = 0; i < c.elements; ++i) buf.PutVarint(i);
+    BufferReader reader(buf.data(), buf.size());
+    std::vector<uint32_t> out;
+    EXPECT_TRUE(
+        Codec<std::vector<uint32_t>>::Decode(reader, &out).IsInvalidArgument())
+        << c.name;
+  }
+  // The same lie inside a feature record's keyword list.
+  Buffer buf;
+  buf.PutUint8(core::ShuffleObject::kFeature);
+  buf.PutVarint(5);
+  buf.PutDouble(0.5);
+  buf.PutDouble(0.5);
+  buf.PutVarint(uint64_t{1} << 62);
+  BufferReader reader(buf.data(), buf.size());
+  core::ShuffleObject obj;
+  EXPECT_TRUE(
+      Codec<core::ShuffleObject>::Decode(reader, &obj).IsInvalidArgument());
+}
+
 }  // namespace
 }  // namespace spq::mapreduce
