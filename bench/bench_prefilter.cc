@@ -2,15 +2,6 @@
 // notes it "can significantly limit the number of feature objects that
 // need to be sent to the Reduce phase"; this bench quantifies that by
 // running the same queries with the filter on and off.
-//
-// PR 4 adds a third configuration: the prefilter with its signature screen
-// ("on+sig", the default) versus the exact-merge-only prefilter ("on").
-// Both prune the same features — the 64-bit TermSignature AND merely
-// proves most disjoint feature/query pairs disjoint without running the
-// sorted merge — so "shuffled"/"examined" are identical and the delta
-// shows up in map seconds. On a broad Zipf vocabulary the screen's
-// false-pass rate is its honest cost: every passed pair still runs the
-// exact merge.
 
 #include <cstdio>
 
@@ -27,14 +18,11 @@ int main() {
       datagen::FlickrLikeSpec(200'000));
   if (!dataset.ok()) return 1;
 
-  core::EngineOptions with;  // default: prefilter + signature screen
+  core::EngineOptions with;  // default: prefilter on
   with.grid_size = 50;
-  core::EngineOptions with_exact = with;
-  with_exact.signature_prefilter = false;
   core::EngineOptions without = with;
   without.keyword_prefilter = false;
   core::SpqEngine filtered(*dataset, with);
-  core::SpqEngine filtered_exact(*dataset, with_exact);
   core::SpqEngine unfiltered(*std::move(dataset), without);
 
   datagen::WorkloadSpec spec;
@@ -58,11 +46,9 @@ int main() {
       const core::SpqEngine* engine;
     };
     const Config configs[] = {
-        {"on+sig", &filtered},
-        {"on", &filtered_exact},
+        {"on", &filtered},
         {"off", &unfiltered},
     };
-    uint64_t pruned_with_sig = 0;
     for (const Config& cfg : configs) {
       auto result = cfg.engine->Execute(query, algo);
       if (!result.ok()) {
@@ -77,21 +63,10 @@ int main() {
                   static_cast<unsigned long long>(info.job.shuffle_bytes),
                   static_cast<unsigned long long>(info.features_examined),
                   info.job.map_seconds, info.job.total_seconds);
-      // The screen may only change HOW features are proven disjoint,
-      // never WHICH — guard the ablation against drift.
-      if (cfg.engine == &filtered) {
-        pruned_with_sig = info.features_pruned;
-      } else if (cfg.engine == &filtered_exact &&
-                 info.features_pruned != pruned_with_sig) {
-        std::fprintf(stderr, "signature screen changed features_pruned!\n");
-        return 1;
-      }
     }
   }
   std::printf("\nExpected: 'off' shuffles the whole feature set; eSPQsco "
               "still examines few features (zero-score features sort last "
-              "and are skipped), while pSPQ pays the full scan. 'on+sig' "
-              "and 'on' shuffle identically; the signature screen's gain "
-              "is map-side merge work avoided.\n");
+              "and are skipped), while pSPQ pays the full scan.\n");
   return 0;
 }

@@ -50,12 +50,12 @@ void DistanceWithinMaskAvx2(const double* xs, const double* ys, std::size_t n,
                                       out + i);
 }
 
-}  // namespace
-
 bool Avx2Available() {
   static const bool available = __builtin_cpu_supports("avx2");
   return available;
 }
+
+}  // namespace
 
 void DistanceWithinMask(const double* xs, const double* ys, std::size_t n,
                         double qx, double qy, double r2, uint8_t* out) {
@@ -68,18 +68,11 @@ void DistanceWithinMask(const double* xs, const double* ys, std::size_t n,
 
 #else  // !SPQ_SIMD_AVX2
 
-bool Avx2Available() { return false; }
-
 void DistanceWithinMask(const double* xs, const double* ys, std::size_t n,
                         double qx, double qy, double r2, uint8_t* out) {
   DistanceWithinMaskScalar(xs, ys, n, qx, qy, r2, out);
 }
 
 #endif  // SPQ_SIMD_AVX2
-
-const char* KernelName(KernelMode mode) {
-  if (mode == KernelMode::kScalar) return "scalar";
-  return Avx2Available() ? "avx2" : "scalar";
-}
 
 }  // namespace spq::simd

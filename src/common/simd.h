@@ -6,42 +6,18 @@
 
 namespace spq::simd {
 
-/// \brief Which distance-kernel implementation the reduce cores use for the
-/// candidate-bucket distance test (reduce_core.h).
-///
-/// The knob exists for the same reason as ShuffleMode/JoinMode: every fast
-/// path in this repo lands A/B-testable against the code it replaces.
-/// `kScalar` runs the pre-kernel inline loop verbatim (one candidate at a
-/// time, distance computed straight off CellData's positions); `kAuto`
-/// gathers each probe's candidates into a small coordinate buffer and
-/// tests them through DistanceWithinMask in lanes of 4 (AVX2 when compiled
-/// in and supported by the CPU, a portable scalar loop otherwise). Results
-/// and every SPQ counter are bit-identical across modes — see
-/// kernel_equivalence_test.cc.
-enum class KernelMode {
-  kAuto,
-  kScalar,
-};
-
-/// True when the AVX2 backend was compiled in (SPQ_SIMD=ON and the
-/// compiler supports -mavx2) AND the running CPU reports AVX2. The
-/// batched path silently uses the portable loop when false, so a binary
-/// built with SPQ_SIMD=ON stays correct on any x86-64.
-bool Avx2Available();
-
-/// Backend that `mode` resolves to at runtime: "avx2" or "scalar" for
-/// kAuto (depending on Avx2Available), always "scalar" for kScalar.
-/// Benches emit this so BENCH_*.json records what actually ran.
-const char* KernelName(KernelMode mode);
-
-/// \brief The batched distance kernel: for each candidate i in [0, n),
+/// \brief The batched distance kernel behind every reduce-side radius
+/// probe (reduce_core.h): for each candidate i in [0, n),
 ///   out[i] = ((xs[i] - qx)² + (ys[i] - qy)² <= r2) ? 1 : 0.
 ///
 /// Bit-compatibility contract: each lane performs exactly the scalar
 /// sequence sub/sub/mul/mul/add/compare of geo::Distance2 — no FMA
 /// contraction, no reassociation — so a lane's verdict always equals the
 /// scalar expression's (including NaN => 0, matching `<=` on NaN). The
-/// AVX2 backend is used when available, otherwise the portable loop.
+/// AVX2 backend (lanes of 4) is used when it was compiled in (SPQ_SIMD=ON
+/// and the compiler supports -mavx2) AND the running CPU reports AVX2;
+/// otherwise the portable loop, so a binary built with SPQ_SIMD=ON stays
+/// correct on any x86-64.
 void DistanceWithinMask(const double* xs, const double* ys, std::size_t n,
                         double qx, double qy, double r2, uint8_t* out);
 

@@ -25,11 +25,11 @@ class SpqMapper final
     : public mapreduce::Mapper<ShuffleObject, CellKey, ShuffleObject> {
  public:
   SpqMapper(Algorithm algo, Query query, geo::UniformGrid grid,
-            SpqJobOptions options)
+            bool keyword_prefilter)
       : algo_(algo),
         query_(std::move(query)),
         grid_(std::move(grid)),
-        options_(options),
+        keyword_prefilter_(keyword_prefilter),
         query_sig_(text::TermSignature(query_.keywords.ids())) {}
 
   void Map(const ShuffleObject& x, SpqMapContext& ctx) override {
@@ -45,8 +45,8 @@ class SpqMapper final
     // O(|x.W| + |q.W|) merge. Only valid when the prefilter is on (the
     // ablation needs `common` for FeatureOrder) and the record carries a
     // computed signature (warm-path inputs do; 0 means "unknown").
-    if (options_.keyword_prefilter && options_.signature_prefilter &&
-        x.keyword_sig != 0 && (x.keyword_sig & query_sig_) == 0) {
+    if (keyword_prefilter_ && x.keyword_sig != 0 &&
+        (x.keyword_sig & query_sig_) == 0) {
       ctx.counters().Increment(counter::kFeaturesPruned);
       return;
     }
@@ -58,7 +58,7 @@ class SpqMapper final
     const std::size_t common = text::SortedIntersectionSize(
         KeywordData(x), KeywordCount(x), query_.keywords.ids().data(),
         query_.keywords.ids().size());
-    if (common == 0 && options_.keyword_prefilter) {
+    if (common == 0 && keyword_prefilter_) {
       ctx.counters().Increment(counter::kFeaturesPruned);
       return;
     }
@@ -84,7 +84,7 @@ class SpqMapper final
   Algorithm algo_;
   Query query_;
   geo::UniformGrid grid_;
-  SpqJobOptions options_;
+  bool keyword_prefilter_;
   uint64_t query_sig_;  ///< TermSignature(q.W), hoisted out of Map
   std::vector<geo::CellId> targets_scratch_;  ///< CellsWithinDist reuse
 };
@@ -93,20 +93,18 @@ class SpqMapper final
 class SpqReducer final
     : public mapreduce::Reducer<CellKey, ShuffleObject, ResultEntry> {
  public:
-  SpqReducer(Algorithm algo, Query query, SpqJobOptions options)
-      : algo_(algo), query_(std::move(query)), options_(options) {}
+  SpqReducer(Algorithm algo, Query query)
+      : algo_(algo), query_(std::move(query)) {}
 
   void Reduce(const CellKey&, SpqGroupValues& values,
               SpqReduceContext& ctx) override {
-    reduce_core::RunReduceOwned(algo_, options_, query_, values,
-                                ctx.counters(),
+    reduce_core::RunReduceOwned(algo_, query_, values, ctx.counters(),
                                 [&ctx](const ResultEntry& e) { ctx.Emit(e); });
   }
 
  private:
   Algorithm algo_;
   Query query_;
-  SpqJobOptions options_;
 };
 
 }  // namespace
@@ -148,26 +146,25 @@ double FeatureOrder(Algorithm algo, const Query& query,
 
 mapreduce::JobSpec<ShuffleObject, CellKey, ShuffleObject, ResultEntry>
 MakeSpqJobSpec(Algorithm algo, const Query& query,
-               const geo::UniformGrid& grid, SpqJobOptions options) {
+               const geo::UniformGrid& grid, bool keyword_prefilter) {
   mapreduce::JobSpec<ShuffleObject, CellKey, ShuffleObject, ResultEntry> spec;
-  spec.mapper_factory = [algo, query, grid, options]() {
-    return std::make_unique<SpqMapper>(algo, query, grid, options);
+  spec.mapper_factory = [algo, query, grid, keyword_prefilter]() {
+    return std::make_unique<SpqMapper>(algo, query, grid, keyword_prefilter);
   };
-  spec.reducer_factory = [algo, query, options]() {
-    return std::make_unique<SpqReducer>(algo, query, options);
+  spec.reducer_factory = [algo, query]() {
+    return std::make_unique<SpqReducer>(algo, query);
   };
   spec.partitioner = CellPartitioner;
   spec.sort_less = CellKeySortLess;
   spec.group_equal = CellKeyGroupEqual;
   // Flat-arena path (ShuffleMode::kCellBucketed): same reduce cores, fed
   // zero-copy ShuffleObjectViews through the non-virtual cursor.
-  spec.flat_reducer_factory = [algo, query, options]() {
-    return [algo, query, options](
+  spec.flat_reducer_factory = [algo, query]() {
+    return [algo, query](
                const CellKey&,
                mapreduce::FlatGroupCursor<CellKey, ShuffleObject>& values,
                mapreduce::ReduceContext<ResultEntry>& ctx) {
-      reduce_core::RunReduceOwned(algo, options, query, values,
-                                  ctx.counters(),
+      reduce_core::RunReduceOwned(algo, query, values, ctx.counters(),
                                   [&ctx](const ResultEntry& e) { ctx.Emit(e); });
     };
   };

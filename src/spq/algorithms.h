@@ -3,7 +3,6 @@
 
 #include <string>
 
-#include "common/simd.h"
 #include "geo/grid.h"
 #include "mapreduce/job.h"
 #include "spq/shuffle_types.h"
@@ -52,49 +51,11 @@ inline constexpr char kGroups[] = "reduce.groups";
 /// score). Only the warm serving path maintains cell summaries, so this
 /// stays 0 on cold runs.
 inline constexpr char kCellsPruned[] = "reduce.cells_pruned";
-/// Cell-summary screening tests performed (one per warm group while
-/// signature_prefilter is on and the query has keywords); the
-/// cells-pruned rate of a workload is kCellsPruned / kSignatureChecks.
+/// Cell-summary screening tests performed (one per warm group when the
+/// query has keywords); the cells-pruned rate of a workload is
+/// kCellsPruned / kSignatureChecks.
 inline constexpr char kSignatureChecks[] = "reduce.signature_checks";
 }  // namespace counter
-
-/// \brief How a reduce group joins its surviving features against the
-/// cell's data objects (the |O_i|·|F_i| loop of Algorithms 2/4/6).
-enum class JoinMode {
-  /// The paper's loop: every feature scans every data object of the cell.
-  /// Retained for A/B benchmarking (bench_reduce) and as the reference
-  /// semantics the equivalence tests pin the indexed mode against.
-  kLinearScan,
-  /// Default: the group's data objects are packed into a small SoA
-  /// mini-grid (reduce_core.h, CellGridIndex) and each feature's radius
-  /// probe walks only the buckets overlapping its r-disk. Results, feature
-  /// consumption and early-termination behavior are bit-identical to
-  /// kLinearScan (see join_equivalence_test.cc); only the number of
-  /// distance evaluations (`reduce.pairs_tested`) shrinks — which is the
-  /// point, especially on coarse grids where cells hold many objects.
-  kGridIndex,
-};
-
-/// \brief Tunables of the generated job beyond the algorithm choice.
-struct SpqJobOptions {
-  /// The map-side pruning of Algorithm 1 line 9 (drop features sharing no
-  /// keyword with q.W before the shuffle). Disabling it is an ablation:
-  /// results stay correct, but irrelevant features get shuffled, duplicated
-  /// and (for pSPQ/eSPQlen) scored in the reducers.
-  bool keyword_prefilter = true;
-  /// Reduce-side data↔feature join strategy; see JoinMode.
-  JoinMode join_mode = JoinMode::kGridIndex;
-  /// Distance-kernel backend for the reduce-side radius probes; see
-  /// simd::KernelMode. kScalar is the A/B reference path.
-  simd::KernelMode kernel_mode = simd::KernelMode::kAuto;
-  /// Keyword-signature screening (TermSignature): map-side it skips the
-  /// exact q.W ∩ f.W merge for features whose signature already proves the
-  /// intersection empty; warm-serving reducers additionally skip whole
-  /// cells whose summary proves no feature can score > 0 against q. Pure
-  /// screening — results and result-bearing counters are bit-identical
-  /// with the flag off; only kCellsPruned/kSignatureChecks change.
-  bool signature_prefilter = true;
-};
 
 /// \brief Builds the complete MapReduce job (mapper, reducer, partitioner,
 /// sort + grouping comparators) evaluating `query` with `algo` on the grid
@@ -105,9 +66,14 @@ struct SpqJobOptions {
 /// The job's input records are ShuffleObjects (the horizontally-partitioned
 /// union of O and F); its outputs are per-cell top-k ResultEntry rows that
 /// still need the global MergeTopK (done by SpqEngine).
+///
+/// `keyword_prefilter` is the map-side pruning of Algorithm 1 line 9 (drop
+/// features sharing no keyword with q.W before the shuffle). Disabling it
+/// is an ablation: results stay correct, but irrelevant features get
+/// shuffled, duplicated and (for pSPQ/eSPQlen) scored in the reducers.
 mapreduce::JobSpec<ShuffleObject, CellKey, ShuffleObject, ResultEntry>
 MakeSpqJobSpec(Algorithm algo, const Query& query,
-               const geo::UniformGrid& grid, SpqJobOptions options = {});
+               const geo::UniformGrid& grid, bool keyword_prefilter = true);
 
 /// Flattens a Dataset into the map input record stream: every data object
 /// and every feature object as a tagged ShuffleObject, in dataset order

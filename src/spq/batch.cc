@@ -29,11 +29,11 @@ class BatchMapper final
     : public mapreduce::Mapper<ShuffleObject, BatchCellKey, ShuffleObject> {
  public:
   BatchMapper(Algorithm algo, std::shared_ptr<const std::vector<Query>> queries,
-              geo::UniformGrid grid, SpqJobOptions options)
+              geo::UniformGrid grid, bool keyword_prefilter)
       : algo_(algo),
         queries_(std::move(queries)),
         grid_(std::move(grid)),
-        options_(options) {
+        keyword_prefilter_(keyword_prefilter) {
     query_sigs_.reserve(queries_->size());
     for (const Query& query : *queries_) {
       query_sigs_.push_back(text::TermSignature(query.keywords.ids()));
@@ -55,7 +55,7 @@ class BatchMapper final
     // The 64-bit TermSignature screen below passes ~2/3 of truly disjoint
     // pairs on keyword-dense features, so at batch scale the merges it
     // fails to skip used to dominate the map phase.
-    if (dict_enabled_ && options_.keyword_prefilter) {
+    if (dict_enabled_ && keyword_prefilter_) {
       MapWithDict(x, cell, ctx);
       return;
     }
@@ -75,8 +75,8 @@ class BatchMapper final
       // Signature screen (see SpqMapper): one AND replaces the exact merge
       // for queries this feature shares no term with — the common case in
       // a large batch. Same drop, same counter as the prefilter below.
-      if (options_.keyword_prefilter && options_.signature_prefilter &&
-          x.keyword_sig != 0 && (x.keyword_sig & query_sigs_[q]) == 0) {
+      if (keyword_prefilter_ && x.keyword_sig != 0 &&
+          (x.keyword_sig & query_sigs_[q]) == 0) {
         ++pruned;
         continue;
       }
@@ -84,7 +84,7 @@ class BatchMapper final
       const std::size_t common = text::SortedIntersectionSize(
           KeywordData(x), KeywordCount(x), query.keywords.ids().data(),
           query.keywords.ids().size());
-      if (common == 0 && options_.keyword_prefilter) {
+      if (common == 0 && keyword_prefilter_) {
         ++pruned;
         continue;
       }
@@ -200,7 +200,7 @@ class BatchMapper final
   Algorithm algo_;
   std::shared_ptr<const std::vector<Query>> queries_;
   geo::UniformGrid grid_;
-  SpqJobOptions options_;
+  bool keyword_prefilter_;
   std::vector<uint64_t> query_sigs_;  ///< TermSignature per batch query
   std::vector<geo::CellId> targets_scratch_;  ///< CellsWithinDist reuse
   std::vector<uint32_t> dict_terms_;  ///< sorted distinct query terms
@@ -239,8 +239,7 @@ struct BatchCellCache {
 };
 
 template <typename Values>
-void BatchReduceGroup(Algorithm algo, const SpqJobOptions& options,
-                      const std::vector<Query>& queries,
+void BatchReduceGroup(Algorithm algo, const std::vector<Query>& queries,
                       BatchCellCache& state, const BatchCellKey& group_key,
                       Values& values, BatchReduceContext& ctx) {
   if (group_key.query == BatchMapper::kDataQuery) {
@@ -260,8 +259,8 @@ void BatchReduceGroup(Algorithm algo, const SpqJobOptions& options,
   // Owned ref: the cache is private to this reduce task, and the index is
   // still allowed to build lazily at the cell's first probe.
   reduce_core::OwnedCellRef cell_ref{&state.cell, &state.index};
-  reduce_core::RunReduce(algo, options, query, cell_ref, state.scratch,
-                         values, ctx.counters(),
+  reduce_core::RunReduce(algo, query, cell_ref, state.scratch, values,
+                         ctx.counters(),
                          [&ctx, q](const ResultEntry& e) {
                            ctx.Emit(BatchResultEntry{q, e});
                          });
@@ -272,20 +271,17 @@ class BatchReducer final
                                 BatchResultEntry> {
  public:
   BatchReducer(Algorithm algo,
-               std::shared_ptr<const std::vector<Query>> queries,
-               SpqJobOptions options)
-      : algo_(algo), queries_(std::move(queries)), options_(options) {}
+               std::shared_ptr<const std::vector<Query>> queries)
+      : algo_(algo), queries_(std::move(queries)) {}
 
   void Reduce(const BatchCellKey& group_key, BatchGroupValues& values,
               BatchReduceContext& ctx) override {
-    BatchReduceGroup(algo_, options_, *queries_, state_, group_key, values,
-                     ctx);
+    BatchReduceGroup(algo_, *queries_, state_, group_key, values, ctx);
   }
 
  private:
   Algorithm algo_;
   std::shared_ptr<const std::vector<Query>> queries_;
-  SpqJobOptions options_;
   BatchCellCache state_;
 };
 
@@ -294,17 +290,18 @@ class BatchReducer final
 mapreduce::JobSpec<ShuffleObject, BatchCellKey, ShuffleObject,
                    BatchResultEntry>
 MakeBatchSpqJobSpec(Algorithm algo, const std::vector<Query>& queries,
-                    const geo::UniformGrid& grid, SpqJobOptions options) {
+                    const geo::UniformGrid& grid, bool keyword_prefilter) {
   auto shared_queries =
       std::make_shared<const std::vector<Query>>(queries);
   mapreduce::JobSpec<ShuffleObject, BatchCellKey, ShuffleObject,
                      BatchResultEntry>
       spec;
-  spec.mapper_factory = [algo, shared_queries, grid, options]() {
-    return std::make_unique<BatchMapper>(algo, shared_queries, grid, options);
+  spec.mapper_factory = [algo, shared_queries, grid, keyword_prefilter]() {
+    return std::make_unique<BatchMapper>(algo, shared_queries, grid,
+                                         keyword_prefilter);
   };
-  spec.reducer_factory = [algo, shared_queries, options]() {
-    return std::make_unique<BatchReducer>(algo, shared_queries, options);
+  spec.reducer_factory = [algo, shared_queries]() {
+    return std::make_unique<BatchReducer>(algo, shared_queries);
   };
   spec.partitioner = BatchPartitioner;
   spec.sort_less = BatchKeySortLess;
@@ -312,14 +309,13 @@ MakeBatchSpqJobSpec(Algorithm algo, const std::vector<Query>& queries,
   // Flat-arena path: the same group protocol with the per-cell cache in
   // per-task state captured by the closure (data views decay into the
   // cache's SoA arrays immediately, so no pool reference is retained).
-  spec.flat_reducer_factory = [algo, shared_queries, options]() {
+  spec.flat_reducer_factory = [algo, shared_queries]() {
     auto state = std::make_shared<BatchCellCache>();
-    return [algo, shared_queries, options, state](
+    return [algo, shared_queries, state](
                const BatchCellKey& group_key,
                mapreduce::FlatGroupCursor<BatchCellKey, ShuffleObject>& values,
                BatchReduceContext& ctx) {
-      BatchReduceGroup(algo, options, *shared_queries, *state, group_key,
-                       values, ctx);
+      BatchReduceGroup(algo, *shared_queries, *state, group_key, values, ctx);
     };
   };
   return spec;

@@ -59,11 +59,13 @@ struct BatchResultEntry {
 };
 
 /// Builds the batched job over `queries` (all evaluated with `algo` on the
-/// shared `grid`). Queries may differ in k, radius and keywords.
+/// shared `grid`). Queries may differ in k, radius and keywords;
+/// `keyword_prefilter` is MakeSpqJobSpec's, applied per query.
 mapreduce::JobSpec<ShuffleObject, BatchCellKey, ShuffleObject,
                    BatchResultEntry>
 MakeBatchSpqJobSpec(Algorithm algo, const std::vector<Query>& queries,
-                    const geo::UniformGrid& grid, SpqJobOptions options = {});
+                    const geo::UniformGrid& grid,
+                    bool keyword_prefilter = true);
 
 }  // namespace spq::core
 

@@ -1053,9 +1053,8 @@ namespace {
 template <typename Cursor, typename Counters>
 bool TrySignatureSkip(const CellStore& store, Algorithm algo,
                       const Query& query, uint64_t query_sig,
-                      const SpqJobOptions& options, geo::CellId cell,
-                      Cursor& cursor, Counters& counters) {
-  if (!options.signature_prefilter || query.keywords.empty()) return false;
+                      geo::CellId cell, Cursor& cursor, Counters& counters) {
+  if (query.keywords.empty()) return false;
   const CellTextSummary& summary = store.text_summary(cell);
   counters.Increment(counter::kSignatureChecks);
   if ((summary.signature & query_sig) != 0 &&
@@ -1304,8 +1303,7 @@ StatusOr<mr::JobOutput<Out>> RunWarmRoute(
 StatusOr<mr::JobOutput<ResultEntry>> RunWarmQuery(
     const CellStore& store, uint32_t data_cells, Algorithm algo,
     const Query& query, const WarmMapperFactory<CellKey>& make_mapper,
-    ThreadPool& pool, const std::vector<ShuffleObject>& features,
-    const SpqJobOptions& options) {
+    ThreadPool& pool, const std::vector<ShuffleObject>& features) {
   const uint64_t query_sig = text::TermSignature(query.keywords.ids());
   auto serve_group = [&](const CellKey& key, auto& cursor,
                          mr::Counters& counters,
@@ -1313,16 +1311,15 @@ StatusOr<mr::JobOutput<ResultEntry>> RunWarmQuery(
                          std::vector<ResultEntry>& out) -> Status {
     // Summary screen first: a skipped group never touches the partition —
     // no lazy materialization, no scratch reset, no feature scoring.
-    if (TrySignatureSkip(store, algo, query, query_sig, options, key.cell,
-                         cursor, counters)) {
+    if (TrySignatureSkip(store, algo, query, query_sig, key.cell, cursor,
+                         counters)) {
       return Status::OK();
     }
     SPQ_ASSIGN_OR_RETURN(const CellStore::Partition* part,
                          store.Serve(key.cell));
     reduce_core::FrozenCellRef cell_ref{&part->data, &part->index,
                                         &part->dead_rows};
-    reduce_core::RunReduce(algo, options, query, cell_ref, scratch, cursor,
-                           counters,
+    reduce_core::RunReduce(algo, query, cell_ref, scratch, cursor, counters,
                            [&out](const ResultEntry& e) { out.push_back(e); });
     return Status::OK();
   };
@@ -1333,8 +1330,7 @@ StatusOr<mr::JobOutput<ResultEntry>> RunWarmQuery(
 StatusOr<mr::JobOutput<BatchResultEntry>> RunWarmBatch(
     const CellStore& store, Algorithm algo, const std::vector<Query>& queries,
     const WarmMapperFactory<BatchCellKey>& make_mapper, ThreadPool& pool,
-    const std::vector<ShuffleObject>& features,
-    const SpqJobOptions& options) {
+    const std::vector<ShuffleObject>& features) {
   std::vector<uint64_t> query_sigs;
   query_sigs.reserve(queries.size());
   for (const Query& q : queries) {
@@ -1348,16 +1344,16 @@ StatusOr<mr::JobOutput<BatchResultEntry>> RunWarmBatch(
     // out-of-range indices are skipped defensively like the cold reducer.
     if (key.query == 0 || key.query > queries.size()) return Status::OK();
     const uint32_t q = key.query - 1;
-    if (TrySignatureSkip(store, algo, queries[q], query_sigs[q], options,
-                         key.cell, cursor, counters)) {
+    if (TrySignatureSkip(store, algo, queries[q], query_sigs[q], key.cell,
+                         cursor, counters)) {
       return Status::OK();
     }
     SPQ_ASSIGN_OR_RETURN(const CellStore::Partition* part,
                          store.Serve(key.cell));
     reduce_core::FrozenCellRef cell_ref{&part->data, &part->index,
                                         &part->dead_rows};
-    reduce_core::RunReduce(algo, options, queries[q], cell_ref, scratch,
-                           cursor, counters,
+    reduce_core::RunReduce(algo, queries[q], cell_ref, scratch, cursor,
+                           counters,
                            [&out, q](const ResultEntry& e) {
                              out.push_back(BatchResultEntry{q, e});
                            });

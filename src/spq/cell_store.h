@@ -185,9 +185,9 @@ struct CellTextSummary {
 ///      equivalent dataset would produce. Tombstoned rows are masked out
 ///      of the reduce cores' per-query scratch before any pair is counted
 ///      (FrozenCellRef::DeadRows) — provably equivalent to physical
-///      absence for results and every counter under a linear scan — and
-///      a mutation on a materialized cell rebuilds its mini-grid index
-///      with the dead rows masked OUT of the bucket geometry
+///      absence for results and every counter over a given candidate
+///      set — and a mutation on a materialized cell rebuilds its mini-grid
+///      index with the dead rows masked OUT of the bucket geometry
 ///      (CellGridIndex's dead-masked Build), so indexed probes enumerate
 ///      exactly the candidate supersets a fresh build over the surviving
 ///      rows enumerates. pairs_tested counts those supersets: an
@@ -488,16 +488,15 @@ using WarmMapperFactory = std::function<
 /// describe the route (its splits and reduce slots as tasks, no shuffle
 /// bytes).
 ///
-/// With options.signature_prefilter on, each group is first screened
-/// against its cell's CellTextSummary; a group the summary proves
-/// score-less is skipped whole — no Serve, no score reset, no feature
+/// Each group is first screened against its cell's CellTextSummary (when
+/// the query has keywords); a group the summary proves score-less is
+/// skipped whole — no Serve, no score reset, no feature
 /// scoring — with the baseline's exact counter footprint replayed
 /// (reduce.cells_pruned / reduce.signature_checks record the screening).
 StatusOr<mapreduce::JobOutput<ResultEntry>> RunWarmQuery(
     const CellStore& store, uint32_t data_cells, Algorithm algo,
     const Query& query, const WarmMapperFactory<CellKey>& make_mapper,
-    ThreadPool& pool, const std::vector<ShuffleObject>& features,
-    const SpqJobOptions& options);
+    ThreadPool& pool, const std::vector<ShuffleObject>& features);
 
 /// Batched twin of RunWarmQuery: every (cell, query) group joins against
 /// the cell's one resident partition and its shared index, with the same
@@ -505,8 +504,7 @@ StatusOr<mapreduce::JobOutput<ResultEntry>> RunWarmQuery(
 StatusOr<mapreduce::JobOutput<BatchResultEntry>> RunWarmBatch(
     const CellStore& store, Algorithm algo, const std::vector<Query>& queries,
     const WarmMapperFactory<BatchCellKey>& make_mapper, ThreadPool& pool,
-    const std::vector<ShuffleObject>& features,
-    const SpqJobOptions& options);
+    const std::vector<ShuffleObject>& features);
 
 }  // namespace spq::core
 

@@ -201,15 +201,6 @@ mapreduce::JobConfig SpqEngine::MakeClusterConfig(
   return config;
 }
 
-SpqJobOptions SpqEngine::MakeJobOptions() const {
-  SpqJobOptions job_options;
-  job_options.keyword_prefilter = options_.keyword_prefilter;
-  job_options.join_mode = options_.join_mode;
-  job_options.kernel_mode = options_.kernel_mode;
-  job_options.signature_prefilter = options_.signature_prefilter;
-  return job_options;
-}
-
 StatusOr<SpqResult> SpqEngine::Execute(const core::Query& query,
                                        Algorithm algo,
                                        uint32_t grid_size_override) const {
@@ -235,8 +226,7 @@ StatusOr<SpqResult> SpqEngine::Execute(const core::Query& query,
       MakeClusterConfig(grid.num_cells(), AlgorithmName(algo));
 
   // --- the single MapReduce job ---
-  const SpqJobOptions job_options = MakeJobOptions();
-  auto spec = MakeSpqJobSpec(algo, query, grid, job_options);
+  auto spec = MakeSpqJobSpec(algo, query, grid, options_.keyword_prefilter);
   MaybeApplyBalancedPartitioner(dataset_, options_, grid,
                                 config.num_reduce_tasks, spec);
   SPQ_ASSIGN_OR_RETURN(auto output, mapreduce::RunJob(spec, config, input_));
@@ -270,8 +260,8 @@ StatusOr<SpqBatchResult> SpqEngine::ExecuteBatch(
   const mapreduce::JobConfig config =
       MakeClusterConfig(grid.num_cells(), AlgorithmName(algo) + "-batch");
 
-  const SpqJobOptions job_options = MakeJobOptions();
-  auto spec = MakeBatchSpqJobSpec(algo, queries, grid, job_options);
+  auto spec =
+      MakeBatchSpqJobSpec(algo, queries, grid, options_.keyword_prefilter);
   SPQ_ASSIGN_OR_RETURN(auto output, mapreduce::RunJob(spec, config, input_));
   return MakeBatchResult(queries, std::move(output));
 }
@@ -457,12 +447,12 @@ StatusOr<SpqResult> SpqEngine::Query(const core::Query& query,
     return result;
   }
 
-  const SpqJobOptions job_options = MakeJobOptions();
-  const auto spec = MakeSpqJobSpec(algo, query, store.grid(), job_options);
+  const auto spec =
+      MakeSpqJobSpec(algo, query, store.grid(), options_.keyword_prefilter);
   SPQ_ASSIGN_OR_RETURN(
       auto output,
       RunWarmQuery(store, snap->data_cells, algo, query, spec.mapper_factory,
-                   *warm_pool_, feature_input_, job_options));
+                   *warm_pool_, feature_input_));
   SpqResult result =
       MakeSpqResult(query, algo, store.grid().nx(), std::move(output));
   result.info.warm_path = true;
@@ -515,12 +505,11 @@ StatusOr<SpqBatchResult> SpqEngine::QueryBatch(
     return result;
   }
 
-  const SpqJobOptions job_options = MakeJobOptions();
-  const auto spec =
-      MakeBatchSpqJobSpec(algo, queries, store.grid(), job_options);
+  const auto spec = MakeBatchSpqJobSpec(algo, queries, store.grid(),
+                                        options_.keyword_prefilter);
   SPQ_ASSIGN_OR_RETURN(
       auto output, RunWarmBatch(store, algo, queries, spec.mapper_factory,
-                                *warm_pool_, feature_input_, job_options));
+                                *warm_pool_, feature_input_));
   SpqBatchResult result = MakeBatchResult(queries, std::move(output));
   result.warm_path = true;
   EngineRegistryMetrics::Get().warm_batch_ns.Record(watch.ElapsedNanos());

@@ -70,6 +70,11 @@ struct ServingOptions {
 /// build. Warm Query()/QueryBatch() run no MapReduce job: they map and
 /// group features in process on the engine's num_workers-thread pool (see
 /// RunWarmQuery in cell_store.h).
+///
+/// The reduce-side join has no knob: every group probes its cell's
+/// CellGridIndex and tests the candidates through the SIMD distance kernel
+/// (reduce_core.h), and warm groups are first screened against their
+/// cell's keyword summary (CellTextSummary in cell_store.h).
 struct EngineOptions {
   /// Cells per side of the query-time grid (the paper's "grid size";
   /// 50 means a 50x50 grid). 0 = choose automatically via AdviseGridSize.
@@ -85,7 +90,9 @@ struct EngineOptions {
   mapreduce::FaultSpec faults;
   int max_task_attempts = 4;
   /// Map-side keyword prefilter (Algorithm 1 line 9). Disable only for
-  /// the ablation study — results are identical either way.
+  /// the ablation study — results are identical either way. With it on, a
+  /// 64-bit TermSignature AND stands in for the exact q.W ∩ f.W merge on
+  /// provably disjoint features.
   bool keyword_prefilter = true;
   /// When non-empty, the shuffle runs out-of-core: map-output segments are
   /// spilled to files under this directory (see JobConfig::spill_dir).
@@ -98,29 +105,6 @@ struct EngineOptions {
   /// for A/B benchmarking (results are identical — see the shuffle
   /// equivalence tests and bench_shuffle).
   mapreduce::ShuffleMode shuffle_mode = mapreduce::ShuffleMode::kCellBucketed;
-  /// Reduce-side join strategy: kGridIndex (default) answers each
-  /// feature's radius probe off a per-group mini-grid over the cell's
-  /// data objects; kLinearScan is the paper's full |O_i| scan per
-  /// feature, kept for A/B benchmarking (bench_reduce). Results are
-  /// identical — see join_equivalence_test.cc.
-  JoinMode join_mode = JoinMode::kGridIndex;
-  /// Distance-kernel backend for the reduce-side radius probes: kAuto
-  /// (default) batches each probe's candidates through the SIMD kernel
-  /// (AVX2 lanes of 4 when compiled in via SPQ_SIMD and supported by the
-  /// CPU, a portable batched loop otherwise); kScalar is the historical
-  /// one-candidate-at-a-time loop, kept for A/B benchmarking
-  /// (bench_reduce). Results and ALL SPQ counters are bit-identical — see
-  /// kernel_equivalence_test.cc.
-  simd::KernelMode kernel_mode = simd::KernelMode::kAuto;
-  /// Keyword-signature screening (64-bit TermSignature): map-side, a one-
-  /// AND screen stands in for the exact q.W ∩ f.W merge on provably
-  /// disjoint features; warm-path reducers also skip whole cells whose
-  /// keyword summary proves no positive score (mainly with the keyword
-  /// prefilter off — with it on, every surviving group shares a term with
-  /// q). Results and pre-existing counters are bit-identical either way;
-  /// only SpqRunInfo::cells_pruned / signature_checks are new. Off = the
-  /// A/B reference.
-  bool signature_prefilter = true;
   /// Mutation-layer compaction threshold: after an Insert()/Delete(), the
   /// touched cell is compacted (dead rows dropped, index rebuilt fresh)
   /// once its tombstoned fraction reaches this share of its physical rows.
@@ -178,8 +162,8 @@ struct SpqRunInfo {
   uint64_t pairs_tested = 0;         ///< data-feature distance evaluations
   uint64_t early_terminations = 0;   ///< reduce groups that stopped early
   uint64_t reduce_groups = 0;
-  /// Warm groups skipped whole by the cell keyword summary (0 on cold
-  /// runs and whenever signature_prefilter is off).
+  /// Warm groups skipped whole by the cell keyword summary, because it
+  /// proves no feature of the group can score > 0 (0 on cold runs).
   uint64_t cells_pruned = 0;
   /// Warm cell-summary screening tests performed; the workload's pruned
   /// rate is cells_pruned / signature_checks.
@@ -419,9 +403,6 @@ class SpqEngine {
   /// cold and build jobs cannot drift apart.
   mapreduce::JobConfig MakeClusterConfig(uint32_t default_reduce_tasks,
                                          std::string job_name) const;
-  /// Same for the per-job SPQ options (prefilter, join mode, kernel mode,
-  /// signature screening).
-  SpqJobOptions MakeJobOptions() const;
   /// Publishes `store` as the current generation (write side of
   /// snapshot()'s pin), with its live-data cell count. Callers hold
   /// mutate_mu_, so publishes are serialized; snapshot_mu_ is taken only

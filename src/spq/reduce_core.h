@@ -34,21 +34,13 @@ namespace spq::core::reduce_core {
 /// objects in the algorithm's sort order) and emits per-cell results
 /// through `emit(const ResultEntry&)`.
 ///
-/// The data↔feature pair loop runs in one of two JoinModes
-/// (algorithms.h): the paper's linear scan, or the default mini-grid
-/// index (CellGridIndex below) that answers each feature's radius probe
-/// with a bucket range walk. Both modes produce bit-identical results and
-/// identical counters except `reduce.pairs_tested`, which counts the
-/// distance evaluations actually performed — the quantity the index
-/// shrinks.
-///
-/// Orthogonally, KernelMode (common/simd.h) picks how surviving candidates
-/// get their distance test: kScalar keeps the historical one-at-a-time
-/// loop, kAuto gathers each probe's candidates and evaluates them through
-/// the batched DistanceWithinMask kernel (AVX2 lanes of 4 when available).
-/// Results and ALL counters — including pairs_tested — are bit-identical
-/// across kernel modes; see kernel_equivalence_test.cc and the proof
-/// sketches at ScoreFeatureAgainstCell / RunEspqSco.
+/// Every feature's radius probe walks only the CellGridIndex buckets
+/// (below) overlapping its r-disk, gathers the candidates that survive the
+/// algorithm's skip test, and tests their distances in one batch through
+/// simd::DistanceWithinMask (AVX2 lanes of 4 when the CPU has them, the
+/// portable loop otherwise). `reduce.pairs_tested` counts the distance
+/// evaluations the algorithm consumes; see ScoreFeatureAgainstCell and
+/// RunEspqSco for what each counts.
 
 /// In-memory O_i of one reduce group, kept as parallel contiguous arrays
 /// (SoA): `positions` doubles as the storage the CellGridIndex buckets
@@ -84,14 +76,14 @@ struct CellData {
   }
 };
 
-/// \brief SoA mini-grid over one reduce group's data-object positions
-/// (JoinMode::kGridIndex). Built lazily at the first feature probe from
-/// the positions accumulated so far; positions that arrive later (late
-/// data in degenerate secondary-key ties, or rows appended to a resident
-/// store partition) are absorbed *incrementally* via Sync/Append — they
-/// land in a small pending list consulted by every probe and are folded
-/// into the CSR arrays once the list outgrows kMaxPending, so late
-/// arrivals no longer trigger an O(n) rebuild each.
+/// \brief SoA mini-grid over one reduce group's data-object positions.
+/// Built lazily at the first feature probe from the positions accumulated
+/// so far; positions that arrive later (late data in degenerate
+/// secondary-key ties, or rows appended to a resident store partition)
+/// are absorbed *incrementally* via Sync/Append — they land in a small
+/// pending list consulted by every probe and are folded into the CSR
+/// arrays once the list outgrows kMaxPending, so late arrivals no longer
+/// trigger an O(n) rebuild each.
 ///
 /// Layout is a counting-sorted CSR: `starts_` offsets into `items_`,
 /// which holds data indices bucket-major and ascending within each bucket
@@ -262,8 +254,8 @@ class CellGridIndex {
   /// scratch, reused across probes. A probe covering every bucket (r
   /// comparable to the cell edge) short-circuits to 0..n-1 — ascending by
   /// construction, and pending indices are exactly the trailing range —
-  /// instead of paying a per-feature collect + sort just to reproduce the
-  /// linear scan's order.
+  /// instead of paying a per-feature collect + sort just to reproduce that
+  /// order.
   void SortedCandidates(const geo::Point& p, double r,
                         std::vector<uint32_t>* out) const {
     out->clear();
@@ -440,11 +432,11 @@ struct FrozenCellRef {
 
 namespace internal {
 
-/// Per-group scratch for the batched distance kernel (KernelMode::kAuto):
-/// surviving candidate indices, their gathered coordinates in SoA form,
-/// and the kernel's verdict bytes. One instance lives per reduce group and
-/// is reused across that group's feature probes, so the steady state does
-/// no allocation — the buffers only grow to the largest probe seen.
+/// Per-group scratch for the batched distance kernel: surviving candidate
+/// indices, their gathered coordinates in SoA form, and the kernel's
+/// verdict bytes. One instance lives per reduce group and is reused
+/// across that group's feature probes, so the steady state does no
+/// allocation — the buffers only grow to the largest probe seen.
 struct ProbeScratch {
   std::vector<uint32_t> idx;
   std::vector<double> xs;
@@ -464,62 +456,29 @@ struct ProbeScratch {
   }
 };
 
-/// The pSPQ/eSPQlen inner loop for one surviving feature: visits either
-/// every data object (kLinearScan) or the index candidates (kGridIndex)
-/// and applies the identical threshold-skip + distance test. The visit
-/// order is irrelevant here — each index is tested at most once per
-/// feature against pre-feature scores, and TopKList selection is a strict
-/// total order — so the unordered bucket walk is safe.
+/// The pSPQ/eSPQlen inner loop for one surviving feature, in three passes:
+/// gather the index candidates passing the threshold skip, test their
+/// distances through simd::DistanceWithinMask, then apply the hits. The
+/// visit order is irrelevant here — the probe visits each index once and
+/// reads its pre-feature score, and TopKList selection is a strict total
+/// order — so the unordered bucket walk is safe. `pairs` counts the
+/// gathered candidates.
 ///
 /// `scores` is the query's running best-score array (parallel to the cell
 /// arrays, owned by the caller's QueryScratch): this function is the only
 /// writer the probe loops have, and the borrowed cell itself stays const.
-///
-/// KernelMode::kAuto runs the same probe in three passes: gather the
-/// indices passing the threshold skip, evaluate their distances through
-/// simd::DistanceWithinMask, then apply the hits. This is bit-identical to
-/// the one-at-a-time kScalar loop: every index is visited at most once per
-/// probe, so the threshold reads `scores[i]` sees at gather time are
-/// exactly the values the scalar loop sees at visit time (a probe only
-/// writes scores[i] for indices it visits, never twice), the kernel's lane
-/// arithmetic matches geo::Distance2 operation-for-operation (simd.h), and
-/// `pairs` counts the gathered indices — the same set the scalar loop
-/// counts one by one.
 template <typename CellRef, typename X>
-inline void ScoreFeatureAgainstCell(const SpqJobOptions& options, const X& x,
-                                    double w, double radius, double r2,
-                                    CellRef& ref, std::vector<double>& scores,
-                                    TopKList& lk, uint64_t& pairs,
-                                    ProbeScratch& scratch) {
+inline void ScoreFeatureAgainstCell(const X& x, double w, double radius,
+                                    double r2, CellRef& ref,
+                                    std::vector<double>& scores, TopKList& lk,
+                                    uint64_t& pairs, ProbeScratch& scratch) {
   const CellData& cell = ref.data();
-  if (options.kernel_mode == simd::KernelMode::kScalar) {
-    auto test = [&](std::size_t i) {
-      if (w <= scores[i]) return;  // cannot improve p's score
-      ++pairs;
-      if (geo::Distance2(cell.positions[i], x.pos) <= r2) {
-        scores[i] = w;
-        lk.Update(cell.ids[i], w);
-      }
-    };
-    if (options.join_mode == JoinMode::kGridIndex) {
-      ref.SyncIndex();
-      ref.idx().ForEachCandidate(x.pos, radius, test);
-    } else {
-      for (std::size_t i = 0; i < cell.size(); ++i) test(i);
-    }
-    return;
-  }
   scratch.idx.clear();
-  auto gather = [&](std::size_t i) {
+  ref.SyncIndex();
+  ref.idx().ForEachCandidate(x.pos, radius, [&](std::size_t i) {
     if (w <= scores[i]) return;  // cannot improve p's score
     scratch.idx.push_back(static_cast<uint32_t>(i));
-  };
-  if (options.join_mode == JoinMode::kGridIndex) {
-    ref.SyncIndex();
-    ref.idx().ForEachCandidate(x.pos, radius, gather);
-  } else {
-    for (std::size_t i = 0; i < cell.size(); ++i) gather(i);
-  }
+  });
   const std::size_t n = scratch.idx.size();
   if (n == 0) return;
   pairs += n;
@@ -568,9 +527,8 @@ struct QueryScratch {
 
 /// Algorithm 2 (pSPQ): full scan of the cell's features, threshold-pruned.
 template <typename CellRef, typename Values, typename EmitFn>
-void RunPspq(const Query& query, const SpqJobOptions& options, CellRef& cell,
-             QueryScratch& scratch, Values& values,
-             mapreduce::Counters& counters, EmitFn&& emit) {
+void RunPspq(const Query& query, CellRef& cell, QueryScratch& scratch,
+             Values& values, mapreduce::Counters& counters, EmitFn&& emit) {
   counters.Increment(counter::kGroups);
   TopKList lk(query.k);
   const double r2 = query.radius * query.radius;
@@ -600,7 +558,7 @@ void RunPspq(const Query& query, const SpqJobOptions& options, CellRef& cell,
         text::JaccardSortedBounded(KeywordData(x), KeywordCount(x),
                                    q_ids.data(), q_ids.size(), lk.Threshold());
     if (w > lk.Threshold()) {
-      internal::ScoreFeatureAgainstCell(options, x, w, query.radius, r2, cell,
+      internal::ScoreFeatureAgainstCell(x, w, query.radius, r2, cell,
                                         scratch.scores, lk, pairs,
                                         scratch.probe);
     }
@@ -612,9 +570,9 @@ void RunPspq(const Query& query, const SpqJobOptions& options, CellRef& cell,
 
 /// Algorithm 4 (eSPQlen): features by increasing |f.W|; stop at Lemma 2.
 template <typename CellRef, typename Values, typename EmitFn>
-void RunEspqLen(const Query& query, const SpqJobOptions& options,
-                CellRef& cell, QueryScratch& scratch, Values& values,
-                mapreduce::Counters& counters, EmitFn&& emit) {
+void RunEspqLen(const Query& query, CellRef& cell, QueryScratch& scratch,
+                Values& values, mapreduce::Counters& counters,
+                EmitFn&& emit) {
   counters.Increment(counter::kGroups);
   TopKList lk(query.k);
   const double r2 = query.radius * query.radius;
@@ -647,7 +605,7 @@ void RunEspqLen(const Query& query, const SpqJobOptions& options,
         text::JaccardSortedBounded(KeywordData(x), KeywordCount(x),
                                    q_ids.data(), q_ids.size(), lk.Threshold());
     if (w > lk.Threshold()) {
-      internal::ScoreFeatureAgainstCell(options, x, w, query.radius, r2, cell,
+      internal::ScoreFeatureAgainstCell(x, w, query.radius, r2, cell,
                                         scratch.scores, lk, pairs,
                                         scratch.probe);
     }
@@ -660,16 +618,16 @@ void RunEspqLen(const Query& query, const SpqJobOptions& options,
 /// Algorithm 6 (eSPQsco): features by decreasing score (read off the
 /// composite key's `order`); stop after k reports (Lemma 3).
 template <typename CellRef, typename Values, typename EmitFn>
-void RunEspqSco(const Query& query, const SpqJobOptions& options,
-                CellRef& cell_ref, QueryScratch& qscratch, Values& values,
-                mapreduce::Counters& counters, EmitFn&& emit) {
+void RunEspqSco(const Query& query, CellRef& cell_ref, QueryScratch& qscratch,
+                Values& values, mapreduce::Counters& counters,
+                EmitFn&& emit) {
   counters.Increment(counter::kGroups);
   // Report bitmap pre-sized to the borrowed cell's current population
   // (warm path); grows with Add on the owned path.
   std::vector<uint8_t>& reported = qscratch.reported;
   reported.assign(cell_ref.data().size(), 0);
-  // Tombstoned rows (mutable store) are pre-marked reported: both kernel
-  // modes consult `reported[i]` BEFORE counting a pair or emitting, and a
+  // Tombstoned rows (mutable store) are pre-marked reported: the gather
+  // consults `reported[i]` BEFORE a pair is counted or emitted, and a
   // pre-marked row never increments reported_count — bit-identical, for
   // results and every counter, to the row being physically absent.
   if (const std::vector<uint32_t>* dead = cell_ref.DeadRows()) {
@@ -698,78 +656,31 @@ void RunEspqSco(const Query& query, const SpqJobOptions& options,
       break;
     }
     ++examined;
-    // Lemma 3 reports in ascending data-index order and stops at k, so the
-    // indexed probe must replay candidates in exactly that order.
+    // Lemma 3 reports in ascending data-index order and stops at k: gather
+    // the ascending not-yet-reported candidates, run the kernel over all
+    // of them, then replay the verdicts in order. `pairs` counts only the
+    // lanes the replay walks — lanes evaluated past the k-th report are
+    // speculation Lemma 3 never needed, and stay uncounted.
+    cell_ref.SyncIndex();
+    cell_ref.idx().SortedCandidates(x.pos, query.radius, &probe_scratch);
+    scratch.idx.clear();
+    for (uint32_t i : probe_scratch) {
+      if (!reported[i]) scratch.idx.push_back(i);
+    }
+    const std::size_t n = scratch.idx.size();
+    if (n == 0) continue;
+    scratch.Gather(cell.positions);
+    simd::DistanceWithinMask(scratch.xs.data(), scratch.ys.data(), n, x.pos.x,
+                             x.pos.y, r2, scratch.within.data());
     bool done = false;
-    if (options.kernel_mode == simd::KernelMode::kScalar) {
-      auto test = [&](std::size_t i) {
-        if (reported[i]) return false;
-        ++pairs;
-        if (geo::Distance2(cell.positions[i], x.pos) <= r2) {
-          // Decreasing-score order makes w the final τ(p) (Lemma 3).
-          emit(ResultEntry{cell.ids[i], w});
-          reported[i] = 1;
-          if (++reported_count == query.k) return true;
-        }
-        return false;
-      };
-      if (options.join_mode == JoinMode::kGridIndex) {
-        cell_ref.SyncIndex();
-        cell_ref.idx().SortedCandidates(x.pos, query.radius, &probe_scratch);
-        for (uint32_t i : probe_scratch) {
-          if (test(i)) {
-            done = true;
-            break;
-          }
-        }
-      } else {
-        for (std::size_t i = 0; i < cell.size(); ++i) {
-          if (test(i)) {
-            done = true;
-            break;
-          }
-        }
-      }
-    } else {
-      // Batched: gather the ascending not-yet-reported candidates, run the
-      // kernel over all of them speculatively, then replay the verdicts in
-      // order. `pairs` counts only the lanes the replay actually walks —
-      // the replay stops at the k-th report exactly where the scalar loop
-      // stops testing, so lanes evaluated past that point (speculation the
-      // batch paid for but Lemma 3 never needed) stay uncounted and the
-      // counter matches kScalar bit for bit. The gather-time `reported[i]`
-      // reads equal the scalar loop's visit-time reads because a probe
-      // sees each index once and only writes reported[] for indices it
-      // walks.
-      scratch.idx.clear();
-      if (options.join_mode == JoinMode::kGridIndex) {
-        cell_ref.SyncIndex();
-        cell_ref.idx().SortedCandidates(x.pos, query.radius, &probe_scratch);
-        for (uint32_t i : probe_scratch) {
-          if (!reported[i]) scratch.idx.push_back(i);
-        }
-      } else {
-        for (std::size_t i = 0; i < cell.size(); ++i) {
-          if (!reported[i]) scratch.idx.push_back(static_cast<uint32_t>(i));
-        }
-      }
-      const std::size_t n = scratch.idx.size();
-      if (n != 0) {
-        scratch.Gather(cell.positions);
-        simd::DistanceWithinMask(scratch.xs.data(), scratch.ys.data(), n,
-                                 x.pos.x, x.pos.y, r2, scratch.within.data());
-        for (std::size_t j = 0; j < n; ++j) {
-          ++pairs;
-          if (!scratch.within[j]) continue;
-          const uint32_t i = scratch.idx[j];
-          emit(ResultEntry{cell.ids[i], w});
-          reported[i] = 1;
-          if (++reported_count == query.k) {
-            done = true;
-            break;
-          }
-        }
-      }
+    for (std::size_t j = 0; j < n && !done; ++j) {
+      ++pairs;
+      if (!scratch.within[j]) continue;
+      const uint32_t i = scratch.idx[j];
+      // Decreasing-score order makes w the final τ(p) (Lemma 3).
+      emit(ResultEntry{cell.ids[i], w});
+      reported[i] = 1;
+      done = ++reported_count == query.k;
     }
     if (done) {
       counters.Increment(counter::kEarlyTerminations);
@@ -781,26 +692,24 @@ void RunEspqSco(const Query& query, const SpqJobOptions& options,
 }
 
 /// Dispatch by algorithm, joining against a borrowed cell ref + per-query
-/// scratch (see the borrowing contract above). `options` supplies the join
-/// mode and the distance-kernel mode; the keyword knobs are map-side /
-/// warm-serving concerns the cores never read.
+/// scratch (see the borrowing contract above).
 template <typename CellRef, typename Values, typename EmitFn>
-void RunReduce(Algorithm algo, const SpqJobOptions& options,
-               const Query& query, CellRef& cell, QueryScratch& scratch,
-               Values& values, mapreduce::Counters& counters, EmitFn&& emit) {
+void RunReduce(Algorithm algo, const Query& query, CellRef& cell,
+               QueryScratch& scratch, Values& values,
+               mapreduce::Counters& counters, EmitFn&& emit) {
   // Per-GROUP span, never per feature/pair: disabled tracing costs one
   // relaxed load + branch here — unmeasurable against a group's join work
   // (the bench_store overhead gate holds this line to its contract).
   TRACE_SPAN("reduce.join");
   switch (algo) {
     case Algorithm::kPSPQ:
-      RunPspq(query, options, cell, scratch, values, counters, emit);
+      RunPspq(query, cell, scratch, values, counters, emit);
       return;
     case Algorithm::kESPQLen:
-      RunEspqLen(query, options, cell, scratch, values, counters, emit);
+      RunEspqLen(query, cell, scratch, values, counters, emit);
       return;
     case Algorithm::kESPQSco:
-      RunEspqSco(query, options, cell, scratch, values, counters, emit);
+      RunEspqSco(query, cell, scratch, values, counters, emit);
       return;
   }
 }
@@ -809,14 +718,13 @@ void RunReduce(Algorithm algo, const SpqJobOptions& options,
 /// cell state — the pre-CellStore behavior, used by the single-query
 /// reducers where nothing outlives the group.
 template <typename Values, typename EmitFn>
-void RunReduceOwned(Algorithm algo, const SpqJobOptions& options,
-                    const Query& query, Values& values,
+void RunReduceOwned(Algorithm algo, const Query& query, Values& values,
                     mapreduce::Counters& counters, EmitFn&& emit) {
   CellData cell;
   CellGridIndex index;
   QueryScratch scratch;
   OwnedCellRef ref{&cell, &index};
-  RunReduce(algo, options, query, ref, scratch, values, counters, emit);
+  RunReduce(algo, query, ref, scratch, values, counters, emit);
 }
 
 }  // namespace spq::core::reduce_core

@@ -93,6 +93,15 @@ std::future<StatusOr<SpqResult>> SpqFrontDoor::Submit(const core::Query& query,
   pending.algo = algo;
   pending.admitted_at = metrics::Clock::now();
   std::future<StatusOr<SpqResult>> future = pending.promise.get_future();
+  // An invalid query is answered here and never admitted: QueryBatch
+  // rejects a whole batch on its first invalid query, so one admitted bad
+  // query would fail every batchmate.
+  if (Status status = ValidateQuery(query); !status.ok()) {
+    rejected_.Increment();
+    DoorRegistryMetrics::Get().rejected.Increment();
+    pending.promise.set_value(std::move(status));
+    return future;
+  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_ || queue_.size() >= opts_.queue_capacity) {

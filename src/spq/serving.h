@@ -30,7 +30,10 @@ namespace spq::core {
 struct ServingStats {
   uint64_t submitted = 0;  ///< Submit() calls (== admitted + rejected)
   uint64_t admitted = 0;   ///< accepted into the admission queue
-  uint64_t rejected = 0;   ///< bounced with Unavailable (queue full/stopped)
+  /// Answered at Submit() without admission: Unavailable when the queue
+  /// is full or the door is shut down, InvalidArgument for an invalid
+  /// query (ValidateQuery).
+  uint64_t rejected = 0;
   /// Admitted queries that shared their batch job with at least one other
   /// query — the coalescing the front door exists for.
   uint64_t coalesced = 0;
@@ -55,7 +58,9 @@ struct ServingStats {
 /// Mechanics (knobs in EngineOptions::serving):
 ///   - Submit() appends to a bounded admission queue and returns a future.
 ///     A full (or shut down) queue rejects immediately with Unavailable —
-///     backpressure is explicit and counted, never an unbounded buffer.
+///     backpressure is explicit and counted, never an unbounded buffer. An
+///     invalid query resolves at once to ValidateQuery's InvalidArgument
+///     and is never admitted, so it cannot fail its would-be batchmates.
 ///   - Executor threads drain the queue: a batch closes when it reaches
 ///     max_batch queries or the oldest admitted query has waited
 ///     max_wait_ms, whichever comes first. A lone caller therefore pays
@@ -88,7 +93,8 @@ class SpqFrontDoor {
   /// Admits one query; the future resolves to the same result
   /// engine.Query(query, algo) would return (for coalesced queries,
   /// SpqRunInfo carries the SHARED batch job's stats). Rejects with
-  /// Unavailable when the queue is at capacity or the door is stopped.
+  /// Unavailable when the queue is at capacity or the door is stopped, and
+  /// with InvalidArgument when ValidateQuery fails.
   std::future<StatusOr<SpqResult>> Submit(const core::Query& query,
                                           Algorithm algo);
 

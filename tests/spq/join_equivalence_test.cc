@@ -1,18 +1,23 @@
-// Property tests for the reduce-side grid-indexed spatial join
-// (JoinMode::kGridIndex): across all three algorithms, both shuffle
-// pipelines, single-query and batched execution and spill/no-spill, the
-// indexed join must return results bit-identical to the paper's linear
-// scan (JoinMode::kLinearScan) — same ids, same scores, and identical
-// counters for everything the join strategy must not change (features
-// examined, early terminations, groups, shuffle volume). The only
-// permitted difference is `reduce.pairs_tested`, which counts the
-// distance evaluations actually performed: the quantity the index exists
-// to shrink, so the tests assert indexed <= linear.
+// Oracle tests for the reduce-side spatial join, in which every group
+// probes its cell's CellGridIndex (reduce_core.h) instead of scanning the
+// cell. Across all three algorithms, both shuffle pipelines, spill/no-spill,
+// cold single-query and batched execution, and warm Query()/QueryBatch(),
+// the results must match the brute-force linear scan of sequential.h
+// (BruteForceSpq): the same score at every rank, and every reported
+// entry's score equal to that object's true τ(p) (BruteForceScore) —
+// what algorithms_test.cc checks.
 //
 // Workloads deliberately include the shapes the index must not get wrong:
 // coarse grids (many objects per cell), r = a/2 (the duplication-regime
 // boundary), r close to a (nearly every feature duplicated), and cells
 // holding features but zero data objects.
+//
+// Why the index answers exactly like a full scan of the cell — with every
+// SPQ counter but `reduce.pairs_tested` unchanged — is pinned by the
+// CellGridIndexTest unit tests below: a probe's candidates cover the exact
+// r-disk, each candidate is visited once, and SortedCandidates comes back
+// ascending; the cores then apply the exact distance test to every
+// candidate.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -25,9 +30,11 @@
 #include <vector>
 
 #include "common/random.h"
-#include "datagen/workload.h"
+#include "geo/grid.h"
 #include "spq/engine.h"
 #include "spq/reduce_core.h"
+#include "spq/sequential.h"
+#include "text/jaccard.h"
 #include "text/keyword_set.h"
 
 namespace spq::core {
@@ -38,7 +45,7 @@ using mapreduce::ShuffleMode;
 /// Uniform features everywhere; data objects either uniform too, or
 /// confined to the left half of the space (`data_gap`), so roughly half
 /// the grid's cells receive feature-only reduce groups — the 0-data
-/// degenerate shape.
+/// degenerate shape. Data object i has id i.
 Dataset MakeJoinDataset(uint64_t seed, bool data_gap) {
   Rng rng(seed);
   Dataset dataset;
@@ -73,30 +80,36 @@ Query MakeJoinQuery(uint64_t seed, double radius) {
   return q;
 }
 
-void ExpectEquivalent(const SpqResult& linear, const SpqResult& indexed,
-                      const std::string& label) {
-  ASSERT_EQ(linear.entries.size(), indexed.entries.size()) << label;
-  for (std::size_t i = 0; i < linear.entries.size(); ++i) {
-    EXPECT_EQ(linear.entries[i].id, indexed.entries[i].id)
-        << label << " @" << i;
-    // Bit-identical, not approximately equal: the index may only change
-    // which pairs get a distance test, never any score computation.
-    EXPECT_EQ(linear.entries[i].score, indexed.entries[i].score)
-        << label << " @" << i;
+/// `got` must carry the oracle's score at every rank, and every entry must
+/// be truthful: its score is the object's τ(p).
+void ExpectMatchesOracle(const std::vector<ResultEntry>& got,
+                         const std::vector<ResultEntry>& oracle,
+                         const Dataset& dataset, const Query& query,
+                         const std::string& label) {
+  ASSERT_EQ(got.size(), oracle.size()) << label;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_DOUBLE_EQ(got[i].score, oracle[i].score) << label << " rank " << i;
   }
-  const SpqRunInfo& a = linear.info;
-  const SpqRunInfo& b = indexed.info;
-  EXPECT_EQ(a.features_kept, b.features_kept) << label;
-  EXPECT_EQ(a.features_pruned, b.features_pruned) << label;
-  EXPECT_EQ(a.feature_duplicates, b.feature_duplicates) << label;
-  EXPECT_EQ(a.features_examined, b.features_examined) << label;
-  EXPECT_EQ(a.early_terminations, b.early_terminations) << label;
-  EXPECT_EQ(a.reduce_groups, b.reduce_groups) << label;
-  EXPECT_EQ(a.job.map_output_records, b.job.map_output_records) << label;
-  EXPECT_EQ(a.job.reduce_input_records, b.job.reduce_input_records) << label;
-  // The one legitimate difference: the indexed join performs at most as
-  // many distance evaluations as the full scan.
-  EXPECT_LE(b.pairs_tested, a.pairs_tested) << label;
+  for (const ResultEntry& e : got) {
+    ASSERT_LT(e.id, dataset.data.size()) << label << " unknown id " << e.id;
+    EXPECT_DOUBLE_EQ(e.score,
+                     BruteForceScore(dataset.data[e.id], dataset, query))
+        << label << " id " << e.id;
+  }
+}
+
+/// A per-test spill directory under the system temp dir ("" without spill).
+std::string SpillDir(bool spill) {
+  if (!spill) return "";
+  std::string unique =
+      "spq_join_equivalence-" +
+      std::string(
+          ::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+      "-" + std::to_string(static_cast<int>(::getpid()));
+  for (char& c : unique) {
+    if (c == '/') c = '_';
+  }
+  return (std::filesystem::temp_directory_path() / unique).string();
 }
 
 class JoinEquivalenceTest
@@ -106,56 +119,45 @@ class JoinEquivalenceTest
 TEST_P(JoinEquivalenceTest, GridIndexMatchesLinearScan) {
   const auto [algo, shuffle_mode, spill] = GetParam();
 
-  EngineOptions base;
+  EngineOptions options;
   // Coarse grid: 4x4 cells over 3000 objects puts ~200 objects in every
-  // reduce group — the workload whose |O_i|·|F_i| blowup the index
-  // attacks, and big enough that probe/bucket edge cases get exercised.
-  base.grid_size = 4;
-  base.num_workers = 4;
+  // reduce group — the workload where an |O_i|·|F_i| scan blows up, and
+  // big enough that probe/bucket edge cases get exercised.
+  options.grid_size = 4;
+  options.num_workers = 4;
   // >= FlatMergeStream::kLoserTreeMinFanIn map tasks, so the flat runs
   // also cover the loser-tree merge end to end.
-  base.num_map_tasks = 9;
-  base.num_reduce_tasks = 7;  // fewer reducers than cells
-  base.shuffle_mode = shuffle_mode;
-  std::string spill_dir;
-  if (spill) {
-    std::string unique =
-        "spq_join_equivalence-" +
-        std::string(
-            ::testing::UnitTest::GetInstance()->current_test_info()->name()) +
-        "-" + std::to_string(static_cast<int>(::getpid()));
-    for (char& c : unique) {
-      if (c == '/') c = '_';
-    }
-    spill_dir = (std::filesystem::temp_directory_path() / unique).string();
-    base.spill_dir = spill_dir;
-  }
+  options.num_map_tasks = 9;
+  options.num_reduce_tasks = 7;  // fewer reducers than cells
+  options.shuffle_mode = shuffle_mode;
+  const std::string spill_dir = SpillDir(spill);
+  options.spill_dir = spill_dir;
 
-  EngineOptions linear_options = base;
-  linear_options.join_mode = JoinMode::kLinearScan;
-  EngineOptions indexed_options = base;
-  indexed_options.join_mode = JoinMode::kGridIndex;
-
-  const double cell_edge = 1.0 / base.grid_size;
+  const double cell_edge = 1.0 / options.grid_size;
   for (uint64_t seed : {21ull, 22ull}) {
     for (const bool data_gap : {false, true}) {
       const Dataset dataset = MakeJoinDataset(seed, data_gap);
-      SpqEngine linear_engine(dataset, linear_options);
-      SpqEngine indexed_engine(dataset, indexed_options);
+      SpqEngine engine(dataset, options);
+      ASSERT_TRUE(engine.BuildStore(0.95 * cell_edge).ok());
       // r = 0.1a (probe covers a small part of the cell, the index's win
       // case), r = a/2 (the paper's duplication-regime boundary) and
       // r = 0.95a (nearly every feature duplicated into neighbor cells).
       for (const double radius :
            {0.1 * cell_edge, 0.5 * cell_edge, 0.95 * cell_edge}) {
         const Query query = MakeJoinQuery(seed * 31 + radius * 100, radius);
-        auto linear = linear_engine.Execute(query, algo);
-        auto indexed = indexed_engine.Execute(query, algo);
-        ASSERT_TRUE(linear.ok()) << linear.status().ToString();
-        ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
-        ExpectEquivalent(*linear, *indexed,
-                         "seed=" + std::to_string(seed) +
-                             " gap=" + std::to_string(data_gap) +
-                             " r=" + std::to_string(radius));
+        const std::vector<ResultEntry> oracle = BruteForceSpq(dataset, query);
+        const std::string label = "seed=" + std::to_string(seed) +
+                                  " gap=" + std::to_string(data_gap) +
+                                  " r=" + std::to_string(radius);
+        auto cold = engine.Execute(query, algo);
+        ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+        ExpectMatchesOracle(cold->entries, oracle, dataset, query,
+                            label + " cold");
+        auto warm = engine.Query(query, algo);
+        ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+        EXPECT_TRUE(warm->info.warm_path) << label;
+        ExpectMatchesOracle(warm->entries, oracle, dataset, query,
+                            label + " warm");
       }
     }
   }
@@ -183,93 +185,91 @@ TEST(JoinEquivalenceTest, BatchGridIndexMatchesLinearScan) {
   const Dataset dataset = MakeJoinDataset(91, /*data_gap=*/true);
   const double cell_edge = 1.0 / 4;
   std::vector<Query> queries;
+  std::vector<std::vector<ResultEntry>> oracles;
+  double max_radius = 0.0;
   for (uint32_t i = 0; i < 4; ++i) {
     Query q = MakeJoinQuery(700 + i, (0.3 + 0.2 * i) * cell_edge);
     q.k = 3 + i;
     queries.push_back(q);
+    oracles.push_back(BruteForceSpq(dataset, q));
+    max_radius = std::max(max_radius, q.radius);
   }
-
-  EngineOptions base;
-  base.grid_size = 4;
-  base.num_workers = 4;
-  base.num_map_tasks = 9;
-  base.num_reduce_tasks = 5;
 
   for (const ShuffleMode shuffle_mode :
        {ShuffleMode::kCellBucketed, ShuffleMode::kLegacySort}) {
     for (const bool spill : {false, true}) {
-      EngineOptions linear_options = base;
-      linear_options.shuffle_mode = shuffle_mode;
-      linear_options.join_mode = JoinMode::kLinearScan;
-      EngineOptions indexed_options = linear_options;
-      indexed_options.join_mode = JoinMode::kGridIndex;
-      std::string spill_dir;
-      if (spill) {
-        spill_dir = (std::filesystem::temp_directory_path() /
-                     ("spq_join_equivalence_batch-" +
-                      std::to_string(static_cast<int>(::getpid()))))
-                        .string();
-        linear_options.spill_dir = spill_dir;
-        indexed_options.spill_dir = spill_dir;
-      }
-      SpqEngine linear_engine(dataset, linear_options);
-      SpqEngine indexed_engine(dataset, indexed_options);
+      EngineOptions options;
+      options.grid_size = 4;
+      options.num_workers = 4;
+      options.num_map_tasks = 9;
+      options.num_reduce_tasks = 5;
+      options.shuffle_mode = shuffle_mode;
+      const std::string spill_dir = SpillDir(spill);
+      options.spill_dir = spill_dir;
+      SpqEngine engine(dataset, options);
+      ASSERT_TRUE(engine.BuildStore(max_radius).ok());
       for (Algorithm algo : {Algorithm::kPSPQ, Algorithm::kESPQLen,
                              Algorithm::kESPQSco}) {
-        auto linear = linear_engine.ExecuteBatch(queries, algo);
-        auto indexed = indexed_engine.ExecuteBatch(queries, algo);
-        ASSERT_TRUE(linear.ok()) << linear.status().ToString();
-        ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
-        ASSERT_EQ(linear->per_query.size(), indexed->per_query.size());
-        for (std::size_t q = 0; q < linear->per_query.size(); ++q) {
-          const auto& le = linear->per_query[q];
-          const auto& ie = indexed->per_query[q];
-          ASSERT_EQ(le.size(), ie.size()) << "query " << q;
-          for (std::size_t i = 0; i < le.size(); ++i) {
-            EXPECT_EQ(le[i].id, ie[i].id) << "query " << q << " @" << i;
-            EXPECT_EQ(le[i].score, ie[i].score)
-                << "query " << q << " @" << i;
-          }
+        auto cold = engine.ExecuteBatch(queries, algo);
+        auto warm = engine.QueryBatch(queries, algo);
+        ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+        ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+        EXPECT_TRUE(warm->warm_path);
+        ASSERT_EQ(cold->per_query.size(), queries.size());
+        ASSERT_EQ(warm->per_query.size(), queries.size());
+        for (std::size_t q = 0; q < queries.size(); ++q) {
+          const std::string label = AlgorithmName(algo) + " query " +
+                                    std::to_string(q) +
+                                    (spill ? " spill" : " mem");
+          ExpectMatchesOracle(cold->per_query[q], oracles[q], dataset,
+                              queries[q], label + " cold");
+          ExpectMatchesOracle(warm->per_query[q], oracles[q], dataset,
+                              queries[q], label + " warm");
         }
-        EXPECT_EQ(linear->job.map_output_records,
-                  indexed->job.map_output_records);
-        EXPECT_EQ(linear->job.reduce_input_records,
-                  indexed->job.reduce_input_records);
-        EXPECT_LE(
-            indexed->job.counters.Get(counter::kPairsTested),
-            linear->job.counters.Get(counter::kPairsTested));
-        EXPECT_EQ(
-            indexed->job.counters.Get(counter::kFeaturesExamined),
-            linear->job.counters.Get(counter::kFeaturesExamined));
-        EXPECT_EQ(
-            indexed->job.counters.Get(counter::kEarlyTerminations),
-            linear->job.counters.Get(counter::kEarlyTerminations));
       }
       if (!spill_dir.empty()) std::filesystem::remove_all(spill_dir);
     }
   }
 }
 
-// The indexed join must actually skip work on coarse cells, not merely
-// tie the scan — otherwise the default would be pure overhead.
+// The index must actually skip work on coarse cells, not merely tie a full
+// scan of them. k = |O| keeps every group's top-k threshold at 0, so a full
+// scan would test every kept feature copy against every data object of the
+// cell it lands in (bar the few an earlier feature already scored as high);
+// the test counts those pairs itself from the grid geometry.
 TEST(JoinEquivalenceTest, GridIndexTestsStrictlyFewerPairsOnCoarseGrid) {
   const Dataset dataset = MakeJoinDataset(5, /*data_gap=*/false);
-  EngineOptions linear_options;
-  linear_options.grid_size = 4;
-  linear_options.num_workers = 4;
-  linear_options.join_mode = JoinMode::kLinearScan;
-  EngineOptions indexed_options = linear_options;
-  indexed_options.join_mode = JoinMode::kGridIndex;
-  SpqEngine linear_engine(dataset, linear_options);
-  SpqEngine indexed_engine(dataset, indexed_options);
+  EngineOptions options;
+  options.grid_size = 4;
+  options.num_workers = 4;
+  SpqEngine engine(dataset, options);
   // A realistic coarse-grid shape: query radius well below the (large)
   // cell edge, so each probe's r-disk covers a small fraction of the cell.
-  const Query query = MakeJoinQuery(17, 0.1 * (1.0 / 4));
-  auto linear = linear_engine.Execute(query, Algorithm::kPSPQ);
-  auto indexed = indexed_engine.Execute(query, Algorithm::kPSPQ);
-  ASSERT_TRUE(linear.ok());
-  ASSERT_TRUE(indexed.ok());
-  EXPECT_LT(indexed->info.pairs_tested, linear->info.pairs_tested / 2)
+  Query query = MakeJoinQuery(17, 0.1 * (1.0 / 4));
+  query.k = static_cast<uint32_t>(dataset.data.size());
+  auto result = engine.Execute(query, Algorithm::kPSPQ);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  auto grid = geo::UniformGrid::Make(dataset.bounds, options.grid_size,
+                                     options.grid_size);
+  ASSERT_TRUE(grid.ok());
+  std::vector<uint64_t> data_per_cell(grid->num_cells(), 0);
+  for (const DataObject& p : dataset.data) ++data_per_cell[grid->CellOf(p.pos)];
+  // Every feature sharing a keyword with q.W survives the map side, in its
+  // own cell and in each Lemma-1 duplicate.
+  uint64_t feature_copies = 0;
+  uint64_t full_scan_pairs = 0;
+  for (const FeatureObject& f : dataset.features) {
+    if (text::Jaccard(f.keywords, query.keywords) == 0.0) continue;
+    std::vector<geo::CellId> cells = grid->CellsWithinDist(f.pos, query.radius);
+    cells.push_back(grid->CellOf(f.pos));
+    for (geo::CellId c : cells) full_scan_pairs += data_per_cell[c];
+    feature_copies += cells.size();
+  }
+  // The bound covers exactly the feature copies the job shuffled.
+  ASSERT_EQ(feature_copies,
+            result->info.features_kept + result->info.feature_duplicates);
+  EXPECT_LT(result->info.pairs_tested, full_scan_pairs / 2)
       << "expected the r-disk probe to skip most of each coarse cell";
 }
 

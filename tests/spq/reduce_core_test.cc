@@ -1,0 +1,140 @@
+// Unit tests of the reduce cores' `reduce.pairs_tested` accounting on a
+// hand-built cell: a CellData, its built CellGridIndex, and a cursor over
+// feature records with known `order` values. Every expected count is worked
+// out by hand from the cell layout below.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <iterator>
+#include <utility>
+#include <vector>
+
+#include "mapreduce/counters.h"
+#include "spq/algorithms.h"
+#include "spq/reduce_core.h"
+
+namespace spq::core::reduce_core {
+namespace {
+
+/// Nine data rows (id = 100 + row). A feature at kCentre with kRadius
+/// reaches rows 2, 5 and 7 only. A probe from kCentre covers every bucket
+/// of the index, so its candidates are all nine rows, in ascending order.
+const geo::Point kRows[] = {{0.05, 0.05}, {0.95, 0.05}, {0.50, 0.55},
+                            {0.05, 0.95}, {0.95, 0.95}, {0.45, 0.50},
+                            {0.50, 0.05}, {0.52, 0.48}, {0.05, 0.50}};
+const geo::Point kCentre{0.5, 0.5};
+constexpr double kRadius = 0.1;
+
+/// A group's values over a fixed record list: the cores need only
+/// Next()/key()/value().
+struct VectorCursor {
+  std::vector<std::pair<CellKey, ShuffleObject>> records;
+  std::size_t next = 0;
+
+  bool Next() {
+    if (next == records.size()) return false;
+    ++next;
+    return true;
+  }
+  const CellKey& key() const { return records[next - 1].first; }
+  const ShuffleObject& value() const { return records[next - 1].second; }
+};
+
+std::pair<CellKey, ShuffleObject> Feature(ObjectId id, double order,
+                                          std::vector<text::TermId> terms) {
+  ShuffleObject f;
+  f.kind = ShuffleObject::kFeature;
+  f.id = id;
+  f.pos = kCentre;
+  f.keywords = std::move(terms);
+  return {CellKey{0, order}, std::move(f)};
+}
+
+/// Runs `algo` over the nine-row cell, as a warm (frozen) partition with
+/// `dead_rows` tombstoned. The index is built over all rows, so only the
+/// cores' own dead-row masking keeps tombstoned rows out of the count.
+std::vector<ResultEntry> RunOnCell(Algorithm algo, const Query& query,
+                                   VectorCursor cursor,
+                                   const std::vector<uint32_t>& dead_rows,
+                                   mapreduce::Counters& counters) {
+  CellData cell;
+  for (std::size_t row = 0; row < std::size(kRows); ++row) {
+    cell.ids.push_back(100 + row);
+    cell.positions.push_back(kRows[row]);
+  }
+  CellGridIndex index;
+  index.Build(cell.positions);
+  FrozenCellRef ref{&cell, &index, &dead_rows};
+  QueryScratch scratch;
+  std::vector<ResultEntry> out;
+  RunReduce(algo, query, ref, scratch, cursor, counters,
+            [&out](const ResultEntry& e) { out.push_back(e); });
+  return out;
+}
+
+Query MakeQuery(uint32_t k) {
+  Query query;
+  query.k = k;
+  query.radius = kRadius;
+  query.keywords = text::KeywordSet{1, 2};
+  return query;
+}
+
+// eSPQsco, k = 2: the feature's lanes are rows 0..8; the hits are rows 2
+// and 5, so the second report lands on the 6th lane and Lemma 3 stops
+// there. The kernel evaluated all nine lanes, but the three past the stop
+// (rows 6, 7, 8 — row 7 a hit) were never needed and are not counted.
+TEST(ReduceCoreTest, EspqScoCountsLanesUpToTheKthReport) {
+  VectorCursor cursor;
+  cursor.records.push_back(Feature(1, -0.5, {1}));
+  cursor.records.push_back(Feature(2, -0.25, {2}));  // never examined
+  mapreduce::Counters counters;
+  const std::vector<ResultEntry> out =
+      RunOnCell(Algorithm::kESPQSco, MakeQuery(2), cursor, {}, counters);
+
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].id, 102u);
+  EXPECT_EQ(out[1].id, 105u);
+  EXPECT_EQ(out[0].score, 0.5);
+  EXPECT_EQ(counters.Get(counter::kPairsTested), 6u);
+  EXPECT_EQ(counters.Get(counter::kFeaturesExamined), 1u);
+  EXPECT_EQ(counters.Get(counter::kEarlyTerminations), 1u);
+  EXPECT_EQ(counters.Get(counter::kGroups), 1u);
+}
+
+// The same probe with rows 0 and 3 tombstoned: the walked lanes are rows
+// 1, 2, 4, 5 — the dead rows before the stop are not counted.
+TEST(ReduceCoreTest, EspqScoSkipsTombstonedRowsBeforeCounting) {
+  VectorCursor cursor;
+  cursor.records.push_back(Feature(1, -0.5, {1}));
+  mapreduce::Counters counters;
+  const std::vector<ResultEntry> out = RunOnCell(
+      Algorithm::kESPQSco, MakeQuery(2), cursor, {0, 3}, counters);
+
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].id, 102u);
+  EXPECT_EQ(out[1].id, 105u);
+  EXPECT_EQ(counters.Get(counter::kPairsTested), 4u);
+  EXPECT_EQ(counters.Get(counter::kEarlyTerminations), 1u);
+}
+
+// pSPQ: feature A (w = 1) tests all nine rows and scores rows 2, 5, 7 at
+// 1.0. Feature B (w = 0.5) probes the same nine rows, but only the six
+// whose running score is below 0.5 get a distance test: 9 + 6 = 15.
+TEST(ReduceCoreTest, PspqCountsOnlyCandidatesTheFeatureCanImprove) {
+  VectorCursor cursor;
+  cursor.records.push_back(Feature(1, 1.0, {1, 2}));
+  cursor.records.push_back(Feature(2, 1.0, {1}));
+  mapreduce::Counters counters;
+  const std::vector<ResultEntry> out =
+      RunOnCell(Algorithm::kPSPQ, MakeQuery(10), cursor, {}, counters);
+
+  ASSERT_EQ(out.size(), 3u);
+  for (const ResultEntry& e : out) EXPECT_EQ(e.score, 1.0) << e.id;
+  EXPECT_EQ(counters.Get(counter::kPairsTested), 15u);
+  EXPECT_EQ(counters.Get(counter::kFeaturesExamined), 2u);
+}
+
+}  // namespace
+}  // namespace spq::core::reduce_core

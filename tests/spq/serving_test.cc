@@ -7,12 +7,15 @@
 //     Unavailable, deterministically, and counts it;
 //   - oversized-radius queries are routed individually through the loud
 //     cold fallback instead of dragging their batchmates cold;
-//   - Shutdown() fulfills every admitted future.
+//   - Shutdown() fulfills every admitted future;
+//   - an invalid query is rejected at Submit() and never fails the batch
+//     it would have joined.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -191,6 +194,55 @@ TEST(FrontDoorTest, ShutdownFulfillsEveryAdmittedFuture) {
   // Submissions after shutdown are rejected, not queued forever.
   StatusOr<SpqResult> late = door->Submit(queries[0], Algorithm::kPSPQ).get();
   EXPECT_TRUE(late.status().IsUnavailable());
+}
+
+// An invalid query (k = 0, NaN radius, negative radius) resolves at once to
+// InvalidArgument and is never admitted: QueryBatch rejects a whole batch
+// on one invalid query, so admitting it would fail every batchmate. The
+// 200 ms budget makes the burst one coalesced batch.
+TEST(FrontDoorTest, InvalidQueryFailsAloneNotItsBatch) {
+  EngineOptions options = MakeServingOptions();
+  options.serving.max_wait_ms = 200.0;
+  SpqEngine engine(MakeServingDataset(), options);
+  ASSERT_TRUE(engine.BuildStore(kStoreRadius).ok());
+
+  const std::vector<Query> queries = MakeServingQueries(4);
+  std::vector<SpqResult> direct;
+  for (const Query& query : queries) {
+    auto result = engine.Query(query, Algorithm::kESPQSco);
+    ASSERT_TRUE(result.ok());
+    direct.push_back(*std::move(result));
+  }
+
+  Query zero_k = queries[1];
+  zero_k.k = 0;
+  Query nan_radius = queries[1];
+  nan_radius.radius = std::numeric_limits<double>::quiet_NaN();
+  Query negative_radius = queries[1];
+  negative_radius.radius = -1.0;
+  for (const Query& invalid : {zero_k, nan_radius, negative_radius}) {
+    SpqFrontDoor door(engine);
+    std::vector<std::future<StatusOr<SpqResult>>> futures;
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      futures.push_back(
+          door.Submit(i == 1 ? invalid : queries[i], Algorithm::kESPQSco));
+    }
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+      StatusOr<SpqResult> result = futures[i].get();
+      if (i == 1) {
+        EXPECT_TRUE(result.status().IsInvalidArgument())
+            << result.status().ToString();
+        continue;
+      }
+      ASSERT_TRUE(result.ok()) << "query " << i << ": "
+                               << result.status().ToString();
+      ExpectSameEntries(direct[i], *result, "query " + std::to_string(i));
+    }
+    const ServingStats stats = door.stats();
+    EXPECT_EQ(stats.submitted, queries.size());
+    EXPECT_EQ(stats.admitted, queries.size() - 1);
+    EXPECT_EQ(stats.rejected, 1u);
+  }
 }
 
 // The front door under true multi-threaded submission: callers from many
