@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks for the hot kernels under every figure:
 // Jaccard merges, grid cell math and duplication targets, top-k updates,
-// shuffle codec, and the k-way merge stream.
+// the flat shuffle's segment layout, and the k-way merge streams.
 
 #include <benchmark/benchmark.h>
 
@@ -113,24 +113,6 @@ void BM_TopKUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_TopKUpdate)->Arg(10)->Arg(100);
 
-void BM_ShuffleObjectCodec(benchmark::State& state) {
-  Rng rng(5);
-  core::ShuffleObject obj;
-  obj.kind = core::ShuffleObject::kFeature;
-  obj.id = 123456;
-  obj.pos = {0.5, 0.25};
-  obj.keywords = text::KeywordSet(RandomTerms(rng, 55, 1000)).ids();
-  for (auto _ : state) {
-    Buffer buf;
-    mapreduce::Codec<core::ShuffleObject>::Encode(obj, buf);
-    BufferReader reader(buf.data(), buf.size());
-    core::ShuffleObject out;
-    benchmark::DoNotOptimize(
-        mapreduce::Codec<core::ShuffleObject>::Decode(reader, &out));
-  }
-}
-BENCHMARK(BM_ShuffleObjectCodec);
-
 void BM_MergeStream(benchmark::State& state) {
   // Merge 8 sorted segments of 1000 records each.
   Rng rng(6);
@@ -195,45 +177,11 @@ void BM_MergeStreamConcreteLess(benchmark::State& state) {
 }
 BENCHMARK(BM_MergeStreamConcreteLess);
 
-// The flat-arena twin of BM_MergeStream on realistic SPQ records: 8
-// segments of pre-bucketed (CellKey, ShuffleObject) runs merged with the
-// integer-key heap and zero-copy views.
-void BM_FlatMergeStream(benchmark::State& state) {
-  Rng rng(7);
-  std::vector<mapreduce::FlatSegment> segments;
-  for (int s = 0; s < 8; ++s) {
-    std::vector<std::pair<core::CellKey, core::ShuffleObject>> records(1000);
-    for (auto& [k, v] : records) {
-      k.cell = rng.NextUint32(100);
-      k.order = -rng.NextDouble();
-      v.kind = core::ShuffleObject::kFeature;
-      v.id = rng.NextUint64();
-      v.pos = {rng.NextDouble(), rng.NextDouble()};
-      v.keywords = text::KeywordSet(RandomTerms(rng, 8, 10'000)).ids();
-    }
-    segments.push_back(
-        *mapreduce::internal::BuildFlatSegment<core::CellKey,
-                                               core::ShuffleObject>(records));
-  }
-  std::vector<const mapreduce::FlatSegment*> ptrs;
-  for (const auto& s : segments) ptrs.push_back(&s);
-  for (auto _ : state) {
-    mapreduce::FlatMergeStream<core::CellKey, core::ShuffleObject> stream(
-        ptrs);
-    uint64_t sum = 0;
-    while (stream.Advance()) sum += stream.value().id;
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() * 8000);
-}
-BENCHMARK(BM_FlatMergeStream);
-
-// Merge-structure A/B at configurable fan-in: binary heap (up to two
-// comparisons per level per record) vs. tournament loser tree (exactly
-// one). The fan-ins bracket FlatMergeStream::kLoserTreeMinFanIn, the
-// point where kAuto switches over.
-void FlatMergeStrategyBench(benchmark::State& state,
-                            mapreduce::MergeStrategy strategy) {
+// The flat-arena twin of BM_MergeStream on realistic SPQ records:
+// `fan_in` segments of 512 pre-bucketed (CellKey, ShuffleObject) records
+// merged through the loser tree into zero-copy views. The fan-in is the
+// number of map tasks feeding one reduce partition.
+void BM_FlatMerge(benchmark::State& state) {
   const std::size_t fan_in = static_cast<std::size_t>(state.range(0));
   Rng rng(9);
   std::vector<mapreduce::FlatSegment> segments;
@@ -255,58 +203,18 @@ void FlatMergeStrategyBench(benchmark::State& state,
   for (const auto& s : segments) ptrs.push_back(&s);
   for (auto _ : state) {
     mapreduce::FlatMergeStream<core::CellKey, core::ShuffleObject> stream(
-        ptrs, strategy);
+        ptrs);
     uint64_t sum = 0;
     while (stream.Advance()) sum += stream.value().id;
     benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(state.iterations() * fan_in * 512);
 }
+BENCHMARK(BM_FlatMerge)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(32)->Arg(64);
 
-void BM_FlatMergeHeap(benchmark::State& state) {
-  FlatMergeStrategyBench(state, mapreduce::MergeStrategy::kBinaryHeap);
-}
-BENCHMARK(BM_FlatMergeHeap)->Arg(4)->Arg(8)->Arg(32)->Arg(64);
-
-void BM_FlatMergeLoserTree(benchmark::State& state) {
-  FlatMergeStrategyBench(state, mapreduce::MergeStrategy::kLoserTree);
-}
-BENCHMARK(BM_FlatMergeLoserTree)->Arg(4)->Arg(8)->Arg(32)->Arg(64);
-
-// Map-side layout step A/B: comparison stable_sort + Codec encode (legacy)
-// vs. cell bucketing + u64 order-key sort into the flat arena. Both
-// variants copy the emitted records inside the timed loop (the legacy sort
-// must mutate; the bucketed path gets the same copy so the ratio reflects
-// only the layout step).
-void BM_MapSortEncodeLegacy(benchmark::State& state) {
-  Rng rng(8);
-  std::vector<std::pair<core::CellKey, core::ShuffleObject>> records(4096);
-  for (auto& [k, v] : records) {
-    k.cell = rng.NextUint32(100);
-    k.order = -rng.NextDouble();
-    v.kind = core::ShuffleObject::kFeature;
-    v.id = rng.NextUint64();
-    v.keywords = text::KeywordSet(RandomTerms(rng, 8, 10'000)).ids();
-  }
-  std::function<bool(const core::CellKey&, const core::CellKey&)> less =
-      core::CellKeySortLess;
-  for (auto _ : state) {
-    auto copy = records;
-    std::stable_sort(copy.begin(), copy.end(),
-                     [&](const auto& a, const auto& b) {
-                       return less(a.first, b.first);
-                     });
-    Buffer buf;
-    for (const auto& [k, v] : copy) {
-      mapreduce::Codec<core::CellKey>::Encode(k, buf);
-      mapreduce::Codec<core::ShuffleObject>::Encode(v, buf);
-    }
-    benchmark::DoNotOptimize(buf.size());
-  }
-  state.SetItemsProcessed(state.iterations() * 4096);
-}
-BENCHMARK(BM_MapSortEncodeLegacy);
-
+// Map-side layout step: cell bucketing + u64 order-key sort into the flat
+// arena (BuildFlatSegment). The emitted records are copied inside the
+// timed loop, as a map task's partition buffer would be filled.
 void BM_MapSortEncodeBucketed(benchmark::State& state) {
   Rng rng(8);
   std::vector<std::pair<core::CellKey, core::ShuffleObject>> records(4096);

@@ -40,10 +40,11 @@ inline double LoadF64(const uint8_t* src) {
 
 }  // namespace wire
 
-/// \brief Serialization trait for shuffle keys and values.
+/// \brief Serialization trait for the keys and values of the comparator
+/// pipeline (RunJob in runtime.h; flat-shuffle jobs encode through their
+/// FlatShuffleTraits instead).
 ///
-/// Every key/value type crossing the map→reduce boundary must specialize
-/// Codec<T> with:
+/// Every such key/value type must specialize Codec<T> with:
 ///   static void Encode(const T& v, Buffer& buf);
 ///   static Status Decode(BufferReader& reader, T* out);
 ///

@@ -12,23 +12,6 @@
 
 namespace spq::mapreduce {
 
-/// \brief How map outputs are ordered and laid out for the shuffle.
-enum class ShuffleMode {
-  /// The seed's Hadoop-like path: per-partition comparison stable_sort
-  /// through the std::function sort comparator, records serialized
-  /// through Codec<K>/Codec<V> and decoded again in the reduce merge.
-  /// Retained for A/B benchmarking (bench_shuffle) and as the only path
-  /// for jobs without flat-shuffle support.
-  kLegacySort,
-  /// Sort-free path for jobs whose keys expose radix structure
-  /// (FlatShuffleTraits, merge.h): map outputs are bucketed by the key's
-  /// primary component and each bucket is sorted on an 8-byte order key;
-  /// segments use the flat-arena layout and reducers read zero-copy
-  /// record views. Falls back to kLegacySort when the job's (K, V) has
-  /// no FlatShuffleTraits specialization or no flat reducer.
-  kCellBucketed,
-};
-
 /// \brief Static configuration of a MapReduce job run.
 ///
 /// `num_reduce_tasks` is the R of the paper — one reduce partition per grid
@@ -47,8 +30,6 @@ struct JobConfig {
   /// this directory and read back in the reduce phase (out-of-core
   /// shuffle). Files are removed when the job finishes.
   std::string spill_dir;
-  /// Shuffle layout/sort strategy; see ShuffleMode.
-  ShuffleMode shuffle_mode = ShuffleMode::kCellBucketed;
 };
 
 /// \brief Everything the runtime measures about one job execution.
@@ -180,6 +161,13 @@ class FlatGroupCursor;
 /// \brief Full description of a job: user logic plus the three pluggable
 /// Hadoop customization points the paper relies on (Section 2.1): the
 /// Partitioner, the sort Comparator and the grouping Comparator.
+///
+/// The key type picks the pipeline (RunJob, runtime.h). A (K, V) with a
+/// FlatShuffleTraits specialization encodes the sort and grouping
+/// comparators in its traits and runs the flat-arena shuffle: it needs
+/// mapper_factory, partitioner and flat_reducer_factory. Any other key
+/// type runs the comparator pipeline and needs mapper_factory,
+/// reducer_factory, partitioner, sort_less and group_equal.
 template <typename In, typename K, typename V, typename Out>
 struct JobSpec {
   std::function<std::unique_ptr<Mapper<In, K, V>>()> mapper_factory;
@@ -191,13 +179,12 @@ struct JobSpec {
   /// Equivalence used to delimit reduce groups (coarser than sort_less).
   std::function<bool(const K&, const K&)> group_equal;
 
-  /// Flat-shuffle reduce entry point, used when FlatShuffleTraits<K, V> is
-  /// specialized and config.shuffle_mode == kCellBucketed. The outer
-  /// factory runs once per reduce attempt (stateful reducers capture their
-  /// state in the returned callable); the inner callable runs once per
-  /// group with a zero-copy cursor. The dispatch cost is one std::function
-  /// call per *group*; every per-record call inside the cursor is direct.
-  /// When unset, the job always takes the legacy path.
+  /// Flat-shuffle reduce entry point, required when FlatShuffleTraits<K, V>
+  /// is specialized. The outer factory runs once per reduce attempt
+  /// (stateful reducers capture their state in the returned callable); the
+  /// inner callable runs once per group with a zero-copy cursor. The
+  /// dispatch cost is one std::function call per *group*; every per-record
+  /// call inside the cursor is direct.
   using FlatReduceFn =
       std::function<void(const K&, FlatGroupCursor<K, V>&, ReduceContext<Out>&)>;
   std::function<FlatReduceFn()> flat_reducer_factory;

@@ -28,7 +28,7 @@ struct SortedSegment {
 };
 
 // ---------------------------------------------------------------------------
-// Flat-arena shuffle (ShuffleMode::kCellBucketed)
+// Flat-arena shuffle (key types with FlatShuffleTraits)
 // ---------------------------------------------------------------------------
 
 /// \brief Radix-structure trait enabling the sort-free, flat-arena shuffle
@@ -295,7 +295,7 @@ class FlatSegmentReader {
 /// segment index, so the merge is deterministic and stable with respect to
 /// map task order. The comparator is a template parameter so concrete
 /// comparators merge with direct calls; it defaults to std::function for
-/// type-erased job specs (the legacy shuffle path).
+/// type-erased job specs (RunJob's comparator pipeline).
 template <typename K, typename V,
           typename Less = std::function<bool(const K&, const K&)>>
 class MergeStream {
@@ -385,69 +385,34 @@ class MergeStream {
   Status status_;
 };
 
-/// \brief How FlatMergeStream maintains its loser structure.
-enum class MergeStrategy {
-  /// kBinaryHeap below kLoserTreeMinFanIn live segments, kLoserTree from
-  /// there up. The default.
-  kAuto,
-  /// Sift-down binary heap: up to 2·log₂(k) comparisons per record, but
-  /// no per-reader leaf bookkeeping — wins at small fan-in.
-  kBinaryHeap,
-  /// Tournament loser tree: exactly ⌈log₂(k)⌉ comparisons per record
-  /// (each against a precomputed loser on the leaf-to-root path) — wins
-  /// when many map tasks feed one reduce partition.
-  kLoserTree,
-};
-
-/// \brief K-way merge over flat-arena segments. The merge structure
-/// compares raw (bucket, order key, segment index) integer triples — no
-/// comparator indirection and no key/value copies: value() hands out a
-/// zero-copy View that stays valid until the next Advance (the winning
-/// reader refills lazily, on the *following* Advance).
-///
-/// Below kLoserTreeMinFanIn live inputs the structure is a binary heap;
-/// at or above it, a tournament loser tree (exactly one comparison per
-/// level per record instead of the heap's up-to-two). Both produce the
-/// identical, deterministic order — ties break by segment index — so the
-/// strategy is purely a performance knob (bench_micro has the A/B).
+/// \brief K-way merge over flat-arena segments. A tournament loser tree
+/// compares raw (bucket, order key, segment index) integer triples —
+/// exactly ⌈log₂(k)⌉ comparisons per record, each against the loser stored
+/// on the winner's leaf-to-root path, with no comparator indirection and
+/// no key/value copies: value() hands out a zero-copy View that stays
+/// valid until the next Advance (the winning reader refills lazily, on the
+/// *following* Advance). Ties break by segment index, so the order is
+/// deterministic and stable with respect to map task order.
 template <typename K, typename V>
 class FlatMergeStream {
   using Traits = FlatShuffleTraits<K, V>;
 
  public:
-  /// Fan-in at or above which kAuto switches to the loser tree.
-  static constexpr std::size_t kLoserTreeMinFanIn = 8;
-
-  explicit FlatMergeStream(const std::vector<const FlatSegment*>& segments,
-                           MergeStrategy strategy = MergeStrategy::kAuto) {
+  explicit FlatMergeStream(const std::vector<const FlatSegment*>& segments) {
     readers_.reserve(segments.size());
     for (const FlatSegment* seg : segments) {
       readers_.push_back(
           std::make_unique<internal::FlatSegmentReader<K, V>>(seg));
     }
-    std::size_t live = 0;
     exhausted_.assign(readers_.size(), 1);
     for (std::size_t i = 0; i < readers_.size(); ++i) {
       if (readers_[i]->Next()) {
         exhausted_[i] = 0;
-        ++live;
       } else if (!readers_[i]->status().ok()) {
         status_ = readers_[i]->status();
       }
     }
-    use_loser_tree_ =
-        strategy == MergeStrategy::kLoserTree ||
-        (strategy == MergeStrategy::kAuto && live >= kLoserTreeMinFanIn);
-    // The tournament bracket needs at least two leaves.
-    if (readers_.size() < 2) use_loser_tree_ = false;
-    if (use_loser_tree_) {
-      BuildLoserTree();
-    } else {
-      for (std::size_t i = 0; i < readers_.size(); ++i) {
-        if (!exhausted_[i]) heap_.push_back(i);
-      }
-      BuildHeap();
-    }
+    BuildLoserTree();
   }
 
   /// Loads the next record in global sorted order. False when exhausted or
@@ -456,32 +421,27 @@ class FlatMergeStream {
     if (!status_.ok()) return false;
     if (current_loaded_) {
       current_loaded_ = false;
-      if (use_loser_tree_) {
-        if (!AdvanceLoserTop()) return false;
-      } else {
-        if (!AdvanceHeapTop()) return false;
-      }
+      if (!AdvanceWinner()) return false;
     }
-    if (Empty()) return false;
-    const auto* r = readers_[Top()].get();
+    // A reduce partition no map task fed has no readers and no bracket.
+    if (readers_.empty() || exhausted_[winner_]) return false;
+    const auto* r = readers_[winner_].get();
     key_ = Traits::MakeKey(r->bucket(), r->order_key());
     current_loaded_ = true;
     return true;
   }
 
-  uint64_t bucket() const { return readers_[Top()]->bucket(); }
+  uint64_t bucket() const { return readers_[winner_]->bucket(); }
   const K& key() const { return key_; }
-  typename Traits::View value() const { return readers_[Top()]->view(); }
+  typename Traits::View value() const { return readers_[winner_]->view(); }
   const Status& status() const { return status_; }
-  bool using_loser_tree() const { return use_loser_tree_; }
 
  private:
-  std::size_t Top() const { return use_loser_tree_ ? winner_ : heap_.front(); }
-  bool Empty() const {
-    return use_loser_tree_ ? exhausted_[winner_] : heap_.empty();
-  }
-
-  bool ReaderLess(std::size_t a, std::size_t b) const {
+  /// Reader order with exhausted readers after every live one, so an
+  /// exhausted reader reaches the top only once all readers are.
+  bool PlayoffLess(std::size_t a, std::size_t b) const {
+    if (exhausted_[a] != exhausted_[b]) return !exhausted_[a];
+    if (exhausted_[a]) return a < b;
     const auto* ra = readers_[a].get();
     const auto* rb = readers_[b].get();
     if (ra->bucket() != rb->bucket()) return ra->bucket() < rb->bucket();
@@ -491,61 +451,15 @@ class FlatMergeStream {
     return a < b;  // deterministic tie-break by map task index
   }
 
-  /// ReaderLess with exhausted readers ordered after every live one: the
-  /// bracket then seats live readers identically to the heap's order, so
-  /// both strategies emit the same sequence.
-  bool PlayoffLess(std::size_t a, std::size_t b) const {
-    if (exhausted_[a] != exhausted_[b]) return !exhausted_[a];
-    if (exhausted_[a]) return a < b;
-    return ReaderLess(a, b);
-  }
-
-  // ---- binary heap -------------------------------------------------------
-
-  bool AdvanceHeapTop() {
-    const std::size_t top = heap_.front();
-    if (readers_[top]->Next()) {
-      SiftDown(0);
-    } else if (!readers_[top]->status().ok()) {
-      status_ = readers_[top]->status();
-      heap_.clear();
-      return false;
-    } else {
-      heap_.front() = heap_.back();
-      heap_.pop_back();
-      if (!heap_.empty()) SiftDown(0);
-    }
-    return true;
-  }
-
-  void BuildHeap() {
-    if (heap_.empty()) return;
-    for (std::size_t i = heap_.size() / 2; i-- > 0;) SiftDown(i);
-  }
-
-  void SiftDown(std::size_t i) {
-    const std::size_t n = heap_.size();
-    for (;;) {
-      std::size_t smallest = i;
-      const std::size_t l = 2 * i + 1;
-      const std::size_t r = 2 * i + 2;
-      if (l < n && ReaderLess(heap_[l], heap_[smallest])) smallest = l;
-      if (r < n && ReaderLess(heap_[r], heap_[smallest])) smallest = r;
-      if (smallest == i) return;
-      std::swap(heap_[i], heap_[smallest]);
-      i = smallest;
-    }
-  }
-
-  // ---- loser tree --------------------------------------------------------
   // Nodes 1..n-1 hold the loser of their subtree's playoff; reader i sits
-  // at implicit leaf n+i (valid for any n >= 2: every internal node has
-  // two children in [2, 2n)). The bracket's shape does not affect the
-  // winner — PlayoffLess is a strict total order, so the minimum always
-  // reaches the top.
+  // at implicit leaf n+i (valid for any n >= 1: every internal node has
+  // two children in [2, 2n), and with n = 1 the lone leaf is the root).
+  // The bracket's shape does not affect the winner — PlayoffLess is a
+  // strict total order, so the minimum always reaches the top.
 
   void BuildLoserTree() {
     const std::size_t n = readers_.size();
+    if (n == 0) return;
     tree_.assign(n, 0);
     std::vector<std::size_t> win(2 * n);
     for (std::size_t j = n; j < 2 * n; ++j) win[j] = j - n;
@@ -559,7 +473,9 @@ class FlatMergeStream {
     winner_ = win[1];
   }
 
-  bool AdvanceLoserTop() {
+  /// Refills the current winner and replays its leaf-to-root path: one
+  /// comparison per level. False on a read error.
+  bool AdvanceWinner() {
     const std::size_t w = winner_;
     if (!readers_[w]->Next()) {
       if (!readers_[w]->status().ok()) {
@@ -568,7 +484,6 @@ class FlatMergeStream {
       }
       exhausted_[w] = 1;
     }
-    // Replay the leaf-to-root path: one comparison per level.
     std::size_t cur = w;
     for (std::size_t j = (readers_.size() + w) / 2; j >= 1; j /= 2) {
       if (PlayoffLess(tree_[j], cur)) std::swap(cur, tree_[j]);
@@ -578,9 +493,7 @@ class FlatMergeStream {
   }
 
   std::vector<std::unique_ptr<internal::FlatSegmentReader<K, V>>> readers_;
-  std::vector<uint8_t> exhausted_;  ///< per reader; loser tree + Empty()
-  bool use_loser_tree_ = false;
-  std::vector<std::size_t> heap_;
+  std::vector<uint8_t> exhausted_;  ///< per reader
   std::vector<std::size_t> tree_;  ///< loser ids at internal nodes 1..n-1
   std::size_t winner_ = 0;
   bool current_loaded_ = false;
@@ -593,8 +506,8 @@ class FlatMergeStream {
 /// that equals the job's grouping comparator. Next/key/value are direct
 /// (non-virtual) calls and value() is a zero-copy View, which is what lets
 /// the reduce cores score straight out of the segment arena.
-/// Protocol mirrors the legacy GroupCursor: the group's first record is
-/// already loaded in the stream at construction.
+/// Protocol mirrors the comparator pipeline's GroupCursor: the group's
+/// first record is already loaded in the stream at construction.
 template <typename K, typename V>
 class FlatGroupCursor {
  public:

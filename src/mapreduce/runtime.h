@@ -160,9 +160,10 @@ StatusOr<FlatSegment> BuildFlatSegment(
   }
   if (pool_bytes > std::numeric_limits<uint32_t>::max()) {
     // Pool slices are addressed by u32 offsets; wrapping would silently
-    // alias spans. Such a segment must use ShuffleMode::kLegacySort.
+    // alias spans. More tasks split the records over smaller segments.
     return Status::InvalidArgument(
-        "flat segment pool exceeds 4 GiB; run with ShuffleMode::kLegacySort");
+        "flat segment pool exceeds 4 GiB; run the job with more map or "
+        "reduce tasks");
   }
   const std::size_t keys_bytes = n * FlatSegment::kKeyRowBytes;
   const std::size_t payload_bytes = n * Traits::kPayloadStride;
@@ -217,7 +218,7 @@ inline void RecordJobMetrics(const JobStats& stats) {
 /// turns one map partition's records into a StatusOr<Segment>;
 /// `ReducePartition` consumes one reduce partition's segments.
 ///
-/// The legacy and flat pipelines below, and the store build job
+/// RunJob's flat and comparator pipelines below, and the store build job
 /// (spq/cell_store.cc), differ only in those two callables — keeping a
 /// single driver guarantees they share fault injection, retry, stats and
 /// cleanup semantics exactly (the equivalence tests rely on it).
@@ -316,6 +317,11 @@ StatusOr<JobOutput<Out>> RunJobWith(const JobSpec<In, K, V, Out>& spec,
         }
       }
       if (!spill_status.ok()) {
+        // The attempt's files, including the one that failed its verify,
+        // never reach SpillCleanup below: remove them here.
+        for (const Segment& seg : task_segments) {
+          if (!seg.spill_path.empty()) RemoveSpillFile(seg.spill_path);
+        }
         if (config.faults.storage_enabled() && spill_status.IsIOError()) {
           // Detected storage corruption, not a logic error: retry the
           // whole attempt (layout errors like InvalidArgument stay fatal).
@@ -468,25 +474,27 @@ StatusOr<JobOutput<Out>> RunJobWith(const JobSpec<In, K, V, Out>& spec,
 ///  1. The input is split into `num_map_tasks` contiguous splits.
 ///  2. Map tasks run on `num_workers` threads. Each task partitions its
 ///     emissions with the job's Partitioner and lays each partition out as
-///     a sorted segment. On the legacy path that is a comparison
-///     stable_sort plus Codec serialization; on the cell-bucketed path
-///     (ShuffleMode::kCellBucketed + FlatShuffleTraits) it is sort-free
-///     per-bucket grouping with an integer order-key sort, written
-///     directly in the flat-arena layout.
+///     a sorted segment.
 ///  3. Shuffle: each reduce partition collects its segment from every map
 ///     task; segment bytes are the job's shuffle traffic.
 ///  4. Reduce tasks k-way-merge their segments lazily and invoke the
-///     reducer once per group (grouping comparator), with Hadoop
-///     secondary-sort semantics; reducers may stop consuming a group
-///     early. Flat-mode reducers consume zero-copy record views; their
-///     merge upgrades itself from a binary heap to a tournament loser
-///     tree at high fan-in (FlatMergeStream::kLoserTreeMinFanIn).
+///     reducer once per group, with Hadoop secondary-sort semantics;
+///     reducers may stop consuming a group early.
+///
+/// The key type picks the pipeline at compile time. A (K, V) with a
+/// FlatShuffleTraits specialization (every SPQ job) runs the flat-arena
+/// shuffle: the map side groups records by Traits::Bucket and sorts each
+/// bucket on the integer order key, with no comparison sort and no Codec;
+/// the reduce side merges integer keys through FlatMergeStream's loser
+/// tree and hands flat_reducer_factory's callable zero-copy record views.
+/// Any other key type runs the comparator pipeline: a stable_sort under
+/// sort_less, Codec serialization, a MergeStream and groups delimited by
+/// group_equal.
 ///
 /// Task attempts can fail via `config.faults`; failed attempts are retried
-/// up to `config.max_task_attempts` times with their partial output and
-/// counters discarded. Deterministic for fixed config, spec, and input —
-/// including across shuffle modes (the equivalence property tests assert
-/// identical results and counters for both).
+/// up to `config.max_task_attempts` times with their partial output,
+/// counters and spill files discarded. Deterministic for fixed config,
+/// spec, and input.
 template <typename In, typename K, typename V, typename Out>
 StatusOr<JobOutput<Out>> RunJob(const JobSpec<In, K, V, Out>& spec,
                                 const JobConfig& config,
@@ -494,75 +502,76 @@ StatusOr<JobOutput<Out>> RunJob(const JobSpec<In, K, V, Out>& spec,
   if (config.num_map_tasks == 0 || config.num_reduce_tasks == 0) {
     return Status::InvalidArgument("task counts must be >= 1");
   }
-  if (!spec.mapper_factory || !spec.reducer_factory || !spec.partitioner ||
-      !spec.sort_less || !spec.group_equal) {
-    return Status::InvalidArgument("incomplete JobSpec");
-  }
 
   if constexpr (FlatShuffleTraits<K, V>::kEnabled) {
-    if (config.shuffle_mode == ShuffleMode::kCellBucketed &&
-        spec.flat_reducer_factory) {
-      // ---- sort-free cell-bucketed pipeline over flat-arena segments ----
-      auto spill_partition =
-          [](const std::vector<std::pair<K, V>>& records) {
-            return internal::BuildFlatSegment<K, V>(records);
-          };
-      auto reduce_partition =
-          [&spec](const std::vector<const FlatSegment*>& segments,
-                  ReduceContext<Out>& ctx) {
-            FlatMergeStream<K, V> stream(segments);
-            auto reduce_group = spec.flat_reducer_factory();
-            bool has = stream.Advance();
-            while (has) {
-              const K group_key = stream.key();
-              FlatGroupCursor<K, V> cursor(&stream, stream.bucket());
-              reduce_group(group_key, cursor, ctx);
-              has = cursor.FinishGroup();
-            }
-            return stream.status();
-          };
-      return internal::RunJobWith<FlatSegment>(spec, config, input,
-                                               spill_partition,
-                                               reduce_partition);
+    if (!spec.mapper_factory || !spec.partitioner ||
+        !spec.flat_reducer_factory) {
+      return Status::InvalidArgument(
+          "incomplete JobSpec: a flat-shuffle job needs mapper_factory, "
+          "partitioner and flat_reducer_factory");
     }
-  }
-
-  // ------------------- legacy comparison-sort + Codec pipeline -------------
-  auto spill_partition =
-      [&spec](std::vector<std::pair<K, V>>& records) -> StatusOr<SortedSegment> {
-    std::stable_sort(records.begin(), records.end(),
-                     [&](const std::pair<K, V>& a, const std::pair<K, V>& b) {
-                       return spec.sort_less(a.first, b.first);
-                     });
-    Buffer buf;
-    for (const auto& [key, value] : records) {
-      Codec<K>::Encode(key, buf);
-      Codec<V>::Encode(value, buf);
-    }
-    SortedSegment seg;
-    seg.num_records = records.size();
-    seg.bytes = buf.TakeBytes();
-    seg.byte_size = seg.bytes.size();
-    return seg;
-  };
-  auto reduce_partition =
-      [&spec](const std::vector<const SortedSegment*>& segments,
-              ReduceContext<Out>& ctx) {
-        auto reducer = spec.reducer_factory();
-        MergeStream<K, V> stream(segments, spec.sort_less);
-        bool has = stream.Advance();
-        while (has) {
-          const K group_key = stream.key();
-          internal::GroupCursor<K, V> cursor(&stream, &group_key,
-                                             &spec.group_equal);
-          reducer->Reduce(group_key, cursor, ctx);
-          has = cursor.FinishGroup();
-        }
-        return stream.status();
-      };
-  return internal::RunJobWith<SortedSegment>(spec, config, input,
+    auto spill_partition = [](const std::vector<std::pair<K, V>>& records) {
+      return internal::BuildFlatSegment<K, V>(records);
+    };
+    auto reduce_partition =
+        [&spec](const std::vector<const FlatSegment*>& segments,
+                ReduceContext<Out>& ctx) {
+          FlatMergeStream<K, V> stream(segments);
+          auto reduce_group = spec.flat_reducer_factory();
+          bool has = stream.Advance();
+          while (has) {
+            const K group_key = stream.key();
+            FlatGroupCursor<K, V> cursor(&stream, stream.bucket());
+            reduce_group(group_key, cursor, ctx);
+            has = cursor.FinishGroup();
+          }
+          return stream.status();
+        };
+    return internal::RunJobWith<FlatSegment>(spec, config, input,
                                              spill_partition,
                                              reduce_partition);
+  } else {
+    if (!spec.mapper_factory || !spec.reducer_factory || !spec.partitioner ||
+        !spec.sort_less || !spec.group_equal) {
+      return Status::InvalidArgument("incomplete JobSpec");
+    }
+    auto spill_partition = [&spec](std::vector<std::pair<K, V>>& records)
+        -> StatusOr<SortedSegment> {
+      std::stable_sort(records.begin(), records.end(),
+                       [&](const std::pair<K, V>& a,
+                           const std::pair<K, V>& b) {
+                         return spec.sort_less(a.first, b.first);
+                       });
+      Buffer buf;
+      for (const auto& [key, value] : records) {
+        Codec<K>::Encode(key, buf);
+        Codec<V>::Encode(value, buf);
+      }
+      SortedSegment seg;
+      seg.num_records = records.size();
+      seg.bytes = buf.TakeBytes();
+      seg.byte_size = seg.bytes.size();
+      return seg;
+    };
+    auto reduce_partition =
+        [&spec](const std::vector<const SortedSegment*>& segments,
+                ReduceContext<Out>& ctx) {
+          auto reducer = spec.reducer_factory();
+          MergeStream<K, V> stream(segments, spec.sort_less);
+          bool has = stream.Advance();
+          while (has) {
+            const K group_key = stream.key();
+            internal::GroupCursor<K, V> cursor(&stream, &group_key,
+                                               &spec.group_equal);
+            reducer->Reduce(group_key, cursor, ctx);
+            has = cursor.FinishGroup();
+          }
+          return stream.status();
+        };
+    return internal::RunJobWith<SortedSegment>(spec, config, input,
+                                               spill_partition,
+                                               reduce_partition);
+  }
 }
 
 }  // namespace spq::mapreduce

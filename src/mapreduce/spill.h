@@ -76,8 +76,9 @@ uint64_t NextSpillRunId();
 /// \brief Sequential reader over one byte region of a spill file through a
 /// fixed-size buffer, so reduce tasks never hold whole segments in memory.
 /// The one windowed-streaming primitive of the runtime: both the flat
-/// segment cursors and the legacy varint SegmentReader (merge.h) sit on
-/// it, so there is a single compact/refill/grow implementation.
+/// segment cursors and the comparator pipeline's varint SegmentReader
+/// (merge.h) sit on it, so there is a single compact/refill/grow
+/// implementation.
 ///
 /// Two access protocols share the buffer machinery:
 ///

@@ -12,12 +12,7 @@ namespace spq::core {
 
 namespace {
 
-using mapreduce::GroupValues;
-using mapreduce::MapContext;
-using mapreduce::ReduceContext;
-using SpqMapContext = MapContext<CellKey, ShuffleObject>;
-using SpqGroupValues = GroupValues<CellKey, ShuffleObject>;
-using SpqReduceContext = ReduceContext<ResultEntry>;
+using SpqMapContext = mapreduce::MapContext<CellKey, ShuffleObject>;
 
 /// Shared map logic of Algorithms 1, 3 and 5. The algorithms differ only
 /// in the secondary key assigned to each emission.
@@ -89,24 +84,6 @@ class SpqMapper final
   std::vector<geo::CellId> targets_scratch_;  ///< CellsWithinDist reuse
 };
 
-/// Thin Reducer shims over the shared reduce cores (reduce_core.h).
-class SpqReducer final
-    : public mapreduce::Reducer<CellKey, ShuffleObject, ResultEntry> {
- public:
-  SpqReducer(Algorithm algo, Query query)
-      : algo_(algo), query_(std::move(query)) {}
-
-  void Reduce(const CellKey&, SpqGroupValues& values,
-              SpqReduceContext& ctx) override {
-    reduce_core::RunReduceOwned(algo_, query_, values, ctx.counters(),
-                                [&ctx](const ResultEntry& e) { ctx.Emit(e); });
-  }
-
- private:
-  Algorithm algo_;
-  Query query_;
-};
-
 }  // namespace
 
 std::string AlgorithmName(Algorithm algo) {
@@ -151,14 +128,9 @@ MakeSpqJobSpec(Algorithm algo, const Query& query,
   spec.mapper_factory = [algo, query, grid, keyword_prefilter]() {
     return std::make_unique<SpqMapper>(algo, query, grid, keyword_prefilter);
   };
-  spec.reducer_factory = [algo, query]() {
-    return std::make_unique<SpqReducer>(algo, query);
-  };
   spec.partitioner = CellPartitioner;
-  spec.sort_less = CellKeySortLess;
-  spec.group_equal = CellKeyGroupEqual;
-  // Flat-arena path (ShuffleMode::kCellBucketed): same reduce cores, fed
-  // zero-copy ShuffleObjectViews through the non-virtual cursor.
+  // The reduce cores, fed zero-copy ShuffleObjectViews through the
+  // non-virtual flat cursor.
   spec.flat_reducer_factory = [algo, query]() {
     return [algo, query](
                const CellKey&,

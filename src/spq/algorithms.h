@@ -57,9 +57,9 @@ inline constexpr char kCellsPruned[] = "reduce.cells_pruned";
 inline constexpr char kSignatureChecks[] = "reduce.signature_checks";
 }  // namespace counter
 
-/// \brief Builds the complete MapReduce job (mapper, reducer, partitioner,
-/// sort + grouping comparators) evaluating `query` with `algo` on the grid
-/// `grid`.
+/// \brief Builds the complete MapReduce job (mapper, partitioner and flat
+/// reducer; the sort and grouping comparators are CellKey's
+/// FlatShuffleTraits) evaluating `query` with `algo` on the grid `grid`.
 ///
 /// The query and grid are copied into the returned spec, which is therefore
 /// self-contained and safe to run after the originals go out of scope.

@@ -14,7 +14,7 @@ namespace spq::core {
 namespace {
 
 using BatchMapContext = mapreduce::MapContext<BatchCellKey, ShuffleObject>;
-using BatchGroupValues = mapreduce::GroupValues<BatchCellKey, ShuffleObject>;
+using BatchGroupCursor = mapreduce::FlatGroupCursor<BatchCellKey, ShuffleObject>;
 using BatchReduceContext = mapreduce::ReduceContext<BatchResultEntry>;
 
 /// One input pass serving every query of the batch.
@@ -208,12 +208,12 @@ class BatchMapper final
   bool dict_enabled_ = false;
 };
 
-/// Shared group protocol of both shuffle paths: groups arrive per cell as
-/// (cell, 0) = the cell's data objects, then (cell, q+1) = query q's
-/// sorted features. The state outlives one group (it is owned by the
-/// reducer / per-task closure), so the cache carries across the groups of
-/// one cell and is invalidated when the cell changes — cells without data
-/// objects produce no sentinel group.
+/// Group protocol of the batched job: groups arrive per cell as (cell, 0)
+/// = the cell's data objects, then (cell, q+1) = query q's sorted
+/// features. The state outlives one group (it is owned by the per-task
+/// closure), so the cache carries across the groups of one cell and is
+/// invalidated when the cell changes — cells without data objects produce
+/// no sentinel group.
 ///
 /// The cache is a thin per-cell view shaped exactly like a CellStore
 /// partition: the sentinel group's data objects land straight in a
@@ -238,10 +238,9 @@ struct BatchCellCache {
   }
 };
 
-template <typename Values>
 void BatchReduceGroup(Algorithm algo, const std::vector<Query>& queries,
                       BatchCellCache& state, const BatchCellKey& group_key,
-                      Values& values, BatchReduceContext& ctx) {
+                      BatchGroupCursor& values, BatchReduceContext& ctx) {
   if (group_key.query == BatchMapper::kDataQuery) {
     state.Rebind(group_key.cell);
     while (values.Next()) state.cell.Add(values.value());
@@ -266,25 +265,6 @@ void BatchReduceGroup(Algorithm algo, const std::vector<Query>& queries,
                          });
 }
 
-class BatchReducer final
-    : public mapreduce::Reducer<BatchCellKey, ShuffleObject,
-                                BatchResultEntry> {
- public:
-  BatchReducer(Algorithm algo,
-               std::shared_ptr<const std::vector<Query>> queries)
-      : algo_(algo), queries_(std::move(queries)) {}
-
-  void Reduce(const BatchCellKey& group_key, BatchGroupValues& values,
-              BatchReduceContext& ctx) override {
-    BatchReduceGroup(algo_, *queries_, state_, group_key, values, ctx);
-  }
-
- private:
-  Algorithm algo_;
-  std::shared_ptr<const std::vector<Query>> queries_;
-  BatchCellCache state_;
-};
-
 }  // namespace
 
 mapreduce::JobSpec<ShuffleObject, BatchCellKey, ShuffleObject,
@@ -300,21 +280,15 @@ MakeBatchSpqJobSpec(Algorithm algo, const std::vector<Query>& queries,
     return std::make_unique<BatchMapper>(algo, shared_queries, grid,
                                          keyword_prefilter);
   };
-  spec.reducer_factory = [algo, shared_queries]() {
-    return std::make_unique<BatchReducer>(algo, shared_queries);
-  };
   spec.partitioner = BatchPartitioner;
-  spec.sort_less = BatchKeySortLess;
-  spec.group_equal = BatchKeyGroupEqual;
-  // Flat-arena path: the same group protocol with the per-cell cache in
-  // per-task state captured by the closure (data views decay into the
-  // cache's SoA arrays immediately, so no pool reference is retained).
+  // The per-cell cache is per-task state captured by the closure (data
+  // views decay into the cache's SoA arrays immediately, so no pool
+  // reference is retained).
   spec.flat_reducer_factory = [algo, shared_queries]() {
     auto state = std::make_shared<BatchCellCache>();
-    return [algo, shared_queries, state](
-               const BatchCellKey& group_key,
-               mapreduce::FlatGroupCursor<BatchCellKey, ShuffleObject>& values,
-               BatchReduceContext& ctx) {
+    return [algo, shared_queries, state](const BatchCellKey& group_key,
+                                         BatchGroupCursor& values,
+                                         BatchReduceContext& ctx) {
       BatchReduceGroup(algo, *shared_queries, *state, group_key, values, ctx);
     };
   };

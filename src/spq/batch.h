@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "geo/grid.h"
-#include "mapreduce/codec.h"
 #include "mapreduce/job.h"
 #include "spq/algorithms.h"
 #include "spq/shuffle_types.h"
@@ -37,6 +36,9 @@ struct BatchCellKey {
   double order = 0.0;
 };
 
+/// The batched job's sort and grouping comparators; the flat shuffle runs
+/// the equivalent FlatShuffleTraits order below (pinned by
+/// shuffle_types_test.cc).
 inline bool BatchKeySortLess(const BatchCellKey& a, const BatchCellKey& b) {
   if (a.cell != b.cell) return a.cell < b.cell;
   if (a.query != b.query) return a.query < b.query;
@@ -70,22 +72,6 @@ MakeBatchSpqJobSpec(Algorithm algo, const std::vector<Query>& queries,
 }  // namespace spq::core
 
 namespace spq::mapreduce {
-
-template <>
-struct Codec<core::BatchCellKey> {
-  static void Encode(const core::BatchCellKey& k, Buffer& buf) {
-    buf.PutUint32(k.cell);
-    buf.PutVarint(k.query);
-    buf.PutDouble(k.order);
-  }
-  static Status Decode(BufferReader& reader, core::BatchCellKey* out) {
-    SPQ_RETURN_NOT_OK(reader.GetUint32(&out->cell));
-    uint64_t q;
-    SPQ_RETURN_NOT_OK(reader.GetVarint(&q));
-    out->query = static_cast<uint32_t>(q);
-    return reader.GetDouble(&out->order);
-  }
-};
 
 /// Flat-shuffle radix structure of the batched job: the bucket packs
 /// (cell, query index) into one u64 — both CellId and the query index are

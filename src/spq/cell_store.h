@@ -157,7 +157,7 @@ struct CellTextSummary {
 ///     byte-identical to the checkpointed image. Warm results and SPQ
 ///     counters after any crash/recover/corrupt sequence are
 ///     bit-identical to a never-crashed store (durability_test pins
-///     this across algorithms and shuffle modes).
+///     this across algorithms and spill/no-spill builds).
 ///  5. Re-checkpoint safety. Checkpoint() derives epoch E+1 from the WAL
 ///     (E = newest epoch mentioned), so write-once DFS files never
 ///     collide; after commit it garbage-collects epochs < E+1.

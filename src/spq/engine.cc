@@ -197,7 +197,6 @@ mapreduce::JobConfig SpqEngine::MakeClusterConfig(
   config.max_task_attempts = options_.max_task_attempts;
   config.job_name = std::move(job_name);
   config.spill_dir = options_.spill_dir;
-  config.shuffle_mode = options_.shuffle_mode;
   return config;
 }
 

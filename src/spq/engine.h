@@ -65,16 +65,18 @@ struct ServingOptions {
 /// \brief Tunables of a query execution on the simulated cluster.
 ///
 /// The MapReduce knobs — num_map_tasks, num_reduce_tasks, partitioner,
-/// shuffle_mode, faults, max_task_attempts and spill_dir — shape only the
-/// cold jobs (Execute/ExecuteBatch and the cold fallback) and the store
-/// build. Warm Query()/QueryBatch() run no MapReduce job: they map and
-/// group features in process on the engine's num_workers-thread pool (see
+/// faults, max_task_attempts and spill_dir — shape only the cold jobs
+/// (Execute/ExecuteBatch and the cold fallback) and the store build.
+/// Warm Query()/QueryBatch() run no MapReduce job: they map and group
+/// features in process on the engine's num_workers-thread pool (see
 /// RunWarmQuery in cell_store.h).
 ///
-/// The reduce-side join has no knob: every group probes its cell's
-/// CellGridIndex and tests the candidates through the SIMD distance kernel
-/// (reduce_core.h), and warm groups are first screened against their
-/// cell's keyword summary (CellTextSummary in cell_store.h).
+/// The shuffle has no knob: every SPQ job runs the flat-arena pipeline
+/// (RunJob in mapreduce/runtime.h). Nor does the reduce-side join: every
+/// group probes its cell's CellGridIndex and tests the candidates through
+/// the SIMD distance kernel (reduce_core.h), and warm groups are first
+/// screened against their cell's keyword summary (CellTextSummary in
+/// cell_store.h).
 struct EngineOptions {
   /// Cells per side of the query-time grid (the paper's "grid size";
   /// 50 means a 50x50 grid). 0 = choose automatically via AdviseGridSize.
@@ -100,11 +102,6 @@ struct EngineOptions {
   /// Cell-to-reducer assignment policy (only matters when
   /// num_reduce_tasks < grid cells).
   PartitionerKind partitioner = PartitionerKind::kModulo;
-  /// Shuffle pipeline: kCellBucketed (default) is the sort-free flat-arena
-  /// path; kLegacySort is the seed's comparison-sort + Codec path, kept
-  /// for A/B benchmarking (results are identical — see the shuffle
-  /// equivalence tests and bench_shuffle).
-  mapreduce::ShuffleMode shuffle_mode = mapreduce::ShuffleMode::kCellBucketed;
   /// Mutation-layer compaction threshold: after an Insert()/Delete(), the
   /// touched cell is compacted (dead rows dropped, index rebuilt fresh)
   /// once its tombstoned fraction reaches this share of its physical rows.
@@ -399,7 +396,7 @@ class SpqEngine {
 
  private:
   /// Shared cluster-shape derivation (workers / map / reduce task counts,
-  /// faults, spill, shuffle mode) of every job this engine starts — the
+  /// faults, spill) of every job this engine starts — the
   /// cold and build jobs cannot drift apart.
   mapreduce::JobConfig MakeClusterConfig(uint32_t default_reduce_tasks,
                                          std::string job_name) const;

@@ -23,8 +23,8 @@ namespace spq::core::reduce_core {
 /// \brief The reduce-side cores of Algorithms 2, 4 and 6, templated on the
 /// group-values cursor so every pairing of key type (CellKey for the
 /// single-query job, BatchCellKey for the batched job) and record
-/// representation (owning ShuffleObject on the legacy shuffle,
-/// zero-copy ShuffleObjectView on the flat-arena shuffle) shares one
+/// representation (zero-copy ShuffleObjectView on the cold flat-arena
+/// shuffle, borrowed ShuffleObject on the warm route) shares one
 /// implementation. The cursor only needs Next()/key()/value(), a key with
 /// an `order` member, and a value satisfying the KeywordData/KeywordCount
 /// accessors — keyword scoring runs straight off the spans, so the flat

@@ -32,6 +32,9 @@ struct CellKey {
 /// eSPQsco ordering (feature orders lie in [-1, 0)).
 inline constexpr double kDataOrderScore = -2.0;
 
+/// The job's sort and grouping comparators, as the paper states them. The
+/// flat shuffle never calls them: FlatShuffleTraits below encodes the same
+/// order, and shuffle_types_test.cc pins the two against each other.
 inline bool CellKeySortLess(const CellKey& a, const CellKey& b) {
   if (a.cell != b.cell) return a.cell < b.cell;
   return a.order < b.order;
@@ -53,8 +56,8 @@ inline uint32_t CellPartitioner(const CellKey& key, uint32_t num_partitions) {
 /// positive doubles get their sign bit flipped, negative doubles get all
 /// bits flipped. -0.0 is first normalized to +0.0 so that values `<`
 /// considers equal stay equal under the integer order — that is what lets
-/// the cell-bucketed shuffle sort `order` as a plain uint64_t and still
-/// reproduce the legacy comparator's order bit-for-bit.
+/// the flat shuffle sort `order` as a plain uint64_t and still reproduce
+/// CellKeySortLess's order bit-for-bit.
 inline uint64_t OrderedDoubleKey(double d) {
   d += 0.0;  // -0.0 -> +0.0
   uint64_t bits;
@@ -81,7 +84,7 @@ inline double OrderedKeyToDouble(uint64_t key) {
 ///
 /// The keyword list has two representations:
 ///   - owning: `keywords` holds the sorted term ids (dataset flattening and
-///     every reduce-side decode produce this form);
+///     the store's copies of flat record views produce this form);
 ///   - borrowed: `keyword_span`/`keyword_span_len` alias term storage owned
 ///     elsewhere and override `keywords`.
 /// Borrowed objects are what makes Lemma-1 cell duplication O(1) per copy:
@@ -106,7 +109,7 @@ struct ShuffleObject {
   /// FlattenDataset fills it once per feature so the map-side signature
   /// screen pays one AND instead of a sorted intersection per query; it is
   /// advisory (a 0 simply falls through to the exact test) and is not
-  /// serialized — nothing past the map phase reads it.
+  /// shuffled — nothing past the map phase reads it.
   uint64_t keyword_sig = 0;
 
   bool is_data() const { return kind == kData; }
@@ -134,7 +137,7 @@ struct ShuffleObject {
 /// \brief Zero-copy view of one shuffled record in a flat-arena segment:
 /// the scalar header by value, the keyword list as a span into the
 /// segment's shared TermId pool. What the reduce cores consume on the
-/// cell-bucketed path — no per-record vector, no decode.
+/// cold flat shuffle — no per-record vector, no decode.
 ///
 /// Valid until the owning stream advances, except for data-object views
 /// (empty keyword span), which hold no pool reference and may be retained
@@ -151,9 +154,10 @@ struct ShuffleObjectView {
 };
 
 /// Uniform keyword-span access for the reduce cores, which are templated
-/// over the record representation (owning ShuffleObject on the legacy
-/// path, ShuffleObjectView on the flat path), and for the serializers,
-/// which must handle both the owning and borrowed ShuffleObject forms.
+/// over the record representation (ShuffleObjectView on the cold flat
+/// shuffle, borrowed ShuffleObjects on the warm route), and for the flat
+/// payload encoder, which must handle both the owning and borrowed
+/// ShuffleObject forms.
 inline const text::TermId* KeywordData(const ShuffleObject& x) {
   return x.keyword_span != nullptr ? x.keyword_span : x.keywords.data();
 }
@@ -218,52 +222,6 @@ inline ShuffleObjectView MakeShuffleView(const uint8_t* payload,
 }  // namespace spq::core
 
 namespace spq::mapreduce {
-
-template <>
-struct Codec<core::CellKey> {
-  static void Encode(const core::CellKey& k, Buffer& buf) {
-    buf.PutUint32(k.cell);
-    buf.PutDouble(k.order);
-  }
-  static Status Decode(BufferReader& reader, core::CellKey* out) {
-    SPQ_RETURN_NOT_OK(reader.GetUint32(&out->cell));
-    return reader.GetDouble(&out->order);
-  }
-};
-
-template <>
-struct Codec<core::ShuffleObject> {
-  static void Encode(const core::ShuffleObject& v, Buffer& buf) {
-    buf.PutUint8(v.kind);
-    buf.PutVarint(v.id);
-    buf.PutDouble(v.pos.x);
-    buf.PutDouble(v.pos.y);
-    if (v.kind == core::ShuffleObject::kFeature) {
-      // Through the accessors: borrowed (span-backed) map emissions encode
-      // identically to owning objects.
-      const text::TermId* kw = core::KeywordData(v);
-      const std::size_t n = core::KeywordCount(v);
-      buf.PutVarint(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        Codec<text::TermId>::Encode(kw[i], buf);
-      }
-    }
-  }
-  static Status Decode(BufferReader& reader, core::ShuffleObject* out) {
-    SPQ_RETURN_NOT_OK(reader.GetUint8(&out->kind));
-    SPQ_RETURN_NOT_OK(reader.GetVarint(&out->id));
-    SPQ_RETURN_NOT_OK(reader.GetDouble(&out->pos.x));
-    SPQ_RETURN_NOT_OK(reader.GetDouble(&out->pos.y));
-    out->keywords.clear();
-    out->keyword_span = nullptr;  // decode always produces the owning form
-    out->keyword_span_len = 0;
-    if (out->kind == core::ShuffleObject::kFeature) {
-      SPQ_RETURN_NOT_OK(
-          Codec<std::vector<text::TermId>>::Decode(reader, &out->keywords));
-    }
-    return Status::OK();
-  }
-};
 
 /// Flat-shuffle radix structure of the single-query job: the bucket is
 /// the cell (partitioning and grouping are cell-driven), the order key is

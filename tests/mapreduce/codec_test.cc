@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "spq/shuffle_types.h"
+#include <string>
+#include <vector>
 
 namespace spq::mapreduce {
 namespace {
@@ -34,59 +35,14 @@ TEST(CodecTest, Vectors) {
   EXPECT_EQ(RoundTrip(s), s);
 }
 
-TEST(CodecTest, CellKeyRoundTrip) {
-  core::CellKey key{42, -0.625};
-  core::CellKey out = RoundTrip(key);
-  EXPECT_EQ(out.cell, 42u);
-  EXPECT_DOUBLE_EQ(out.order, -0.625);
-}
-
-TEST(CodecTest, ShuffleObjectDataRoundTrip) {
-  core::ShuffleObject obj;
-  obj.kind = core::ShuffleObject::kData;
-  obj.id = 99;
-  obj.pos = {0.25, 0.75};
-  core::ShuffleObject out = RoundTrip(obj);
-  EXPECT_TRUE(out.is_data());
-  EXPECT_EQ(out.id, 99u);
-  EXPECT_DOUBLE_EQ(out.pos.x, 0.25);
-  EXPECT_DOUBLE_EQ(out.pos.y, 0.75);
-  EXPECT_TRUE(out.keywords.empty());
-}
-
-TEST(CodecTest, ShuffleObjectFeatureRoundTrip) {
-  core::ShuffleObject obj;
-  obj.kind = core::ShuffleObject::kFeature;
-  obj.id = 7;
-  obj.pos = {0.5, 0.5};
-  obj.keywords = {1, 5, 9};
-  core::ShuffleObject out = RoundTrip(obj);
-  EXPECT_TRUE(out.is_feature());
-  EXPECT_EQ(out.keywords, (std::vector<text::TermId>{1, 5, 9}));
-}
-
-TEST(CodecTest, DataObjectOmitsKeywordPayload) {
-  // The wire format of a data object must not spend bytes on keywords.
-  core::ShuffleObject data;
-  data.kind = core::ShuffleObject::kData;
-  data.id = 1;
-  core::ShuffleObject feature = data;
-  feature.kind = core::ShuffleObject::kFeature;
-  Buffer data_buf, feature_buf;
-  Codec<core::ShuffleObject>::Encode(data, data_buf);
-  Codec<core::ShuffleObject>::Encode(feature, feature_buf);
-  EXPECT_LT(data_buf.size(), feature_buf.size());
-}
-
 TEST(CodecTest, DecodeFailsOnTruncation) {
-  core::ShuffleObject obj;
-  obj.kind = core::ShuffleObject::kFeature;
-  obj.keywords = {1, 2, 3};
+  // Multi-byte varints, so dropping the last byte cuts an element short.
+  const std::vector<uint64_t> values{1ULL << 40, 1ULL << 41, 1ULL << 42};
   Buffer buf;
-  Codec<core::ShuffleObject>::Encode(obj, buf);
+  Codec<std::vector<uint64_t>>::Encode(values, buf);
   BufferReader reader(buf.data(), buf.size() - 1);
-  core::ShuffleObject out;
-  EXPECT_FALSE(Codec<core::ShuffleObject>::Decode(reader, &out).ok());
+  std::vector<uint64_t> out;
+  EXPECT_FALSE(Codec<std::vector<uint64_t>>::Decode(reader, &out).ok());
 }
 
 // A vector count larger than the bytes left is rejected as InvalidArgument
@@ -112,17 +68,6 @@ TEST(CodecTest, DecodeRejectsLyingVectorCounts) {
         Codec<std::vector<uint32_t>>::Decode(reader, &out).IsInvalidArgument())
         << c.name;
   }
-  // The same lie inside a feature record's keyword list.
-  Buffer buf;
-  buf.PutUint8(core::ShuffleObject::kFeature);
-  buf.PutVarint(5);
-  buf.PutDouble(0.5);
-  buf.PutDouble(0.5);
-  buf.PutVarint(uint64_t{1} << 62);
-  BufferReader reader(buf.data(), buf.size());
-  core::ShuffleObject obj;
-  EXPECT_TRUE(
-      Codec<core::ShuffleObject>::Decode(reader, &obj).IsInvalidArgument());
 }
 
 }  // namespace

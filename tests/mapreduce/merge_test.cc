@@ -130,84 +130,129 @@ TEST(MergeStreamTest, SegmentWithZeroRecords) {
 }
 
 // ---------------------------------------------------------------------------
-// FlatMergeStream strategy tests: the loser tree must emit exactly the
-// heap's sequence (same records, same deterministic tie-breaks) at any
-// fan-in, and kAuto must pick it only at high fan-in.
+// FlatMergeStream: the loser tree against a sorted reference. The merge
+// must emit every record exactly in (bucket, order key, segment index,
+// position in segment) order — a stable sort of all segments' records —
+// at every fan-in, including empty segments and keys tied across segments.
 // ---------------------------------------------------------------------------
 
 using FlatKV = std::pair<core::CellKey, core::ShuffleObject>;
+using FlatMerge = FlatMergeStream<core::CellKey, core::ShuffleObject>;
+/// (bucket, order key, record id) of one merged record.
+using FlatRow = std::tuple<uint64_t, uint64_t, uint64_t>;
 
-FlatSegment MakeFlatSegment(Rng& rng, std::size_t num_records,
-                            uint32_t num_cells) {
+/// `num_records` features with ids base+i in emission order. Few cells and
+/// coarse orders force ties inside and across segments.
+std::vector<FlatKV> MakeFlatRecords(Rng& rng, std::size_t num_records,
+                                    uint64_t base) {
   std::vector<FlatKV> records(num_records);
-  for (auto& [k, v] : records) {
-    k.cell = rng.NextUint32(num_cells);
-    // Coarse order values force plenty of exact ties, so the segment-index
-    // tie-break is really exercised.
-    k.order = static_cast<double>(rng.NextUint32(4));
+  for (std::size_t i = 0; i < num_records; ++i) {
+    auto& [k, v] = records[i];
+    k.cell = rng.NextUint32(5);
+    k.order = static_cast<double>(rng.NextUint32(4)) - 1.0;
     v.kind = core::ShuffleObject::kFeature;
-    v.id = rng.NextUint64();
+    v.id = base + i;
     v.pos = {rng.NextDouble(), rng.NextDouble()};
     v.keywords = {rng.NextUint32(100), 200 + rng.NextUint32(100)};
   }
+  return records;
+}
+
+FlatSegment BuildSegment(const std::vector<FlatKV>& records) {
   auto seg =
       internal::BuildFlatSegment<core::CellKey, core::ShuffleObject>(records);
-  EXPECT_TRUE(seg.ok());
+  EXPECT_TRUE(seg.ok()) << seg.status().ToString();
   return *std::move(seg);
 }
 
-std::vector<std::tuple<uint32_t, double, uint64_t>> DrainFlat(
-    FlatMergeStream<core::CellKey, core::ShuffleObject>& stream) {
-  std::vector<std::tuple<uint32_t, double, uint64_t>> out;
+std::vector<FlatRow> DrainFlat(FlatMerge& stream) {
+  std::vector<FlatRow> out;
   while (stream.Advance()) {
-    out.emplace_back(stream.key().cell, stream.key().order,
+    out.emplace_back(stream.bucket(),
+                     core::OrderedDoubleKey(stream.key().order),
                      stream.value().id);
   }
-  EXPECT_TRUE(stream.status().ok()) << stream.status().ToString();
   return out;
 }
 
-TEST(FlatMergeStrategyTest, LoserTreeMatchesHeapAtEveryFanIn) {
-  Rng rng(31);
-  std::vector<FlatSegment> segments;
-  std::vector<const FlatSegment*> ptrs;
-  // Includes empty and single-record segments among ordinary ones, and
-  // spans fan-ins both below and above the auto threshold.
-  for (std::size_t s = 0; s < 19; ++s) {
-    segments.push_back(
-        MakeFlatSegment(rng, s % 5 == 0 ? 0 : 50 + s, /*num_cells=*/6));
-  }
-  for (const auto& s : segments) ptrs.push_back(&s);
-  for (std::size_t fan_in = 1; fan_in <= ptrs.size(); ++fan_in) {
-    const std::vector<const FlatSegment*> subset(ptrs.begin(),
-                                                 ptrs.begin() + fan_in);
-    FlatMergeStream<core::CellKey, core::ShuffleObject> heap(
-        subset, MergeStrategy::kBinaryHeap);
-    FlatMergeStream<core::CellKey, core::ShuffleObject> loser(
-        subset, MergeStrategy::kLoserTree);
-    EXPECT_FALSE(heap.using_loser_tree());
-    EXPECT_EQ(loser.using_loser_tree(), fan_in >= 2);
-    EXPECT_EQ(DrainFlat(heap), DrainFlat(loser)) << "fan-in " << fan_in;
+TEST(FlatMergeStreamTest, MatchesStableSortAtEveryFanIn) {
+  for (const std::size_t fan_in : {0, 1, 2, 3, 7, 8, 9, 20}) {
+    Rng rng(31 + fan_in);
+    std::vector<FlatSegment> segments;
+    // (bucket, order key, segment, emission index, id): sorting these is
+    // the reference order, since BuildFlatSegment keeps emission order
+    // among equal keys.
+    std::vector<std::tuple<uint64_t, uint64_t, std::size_t, std::size_t,
+                           uint64_t>>
+        reference;
+    for (std::size_t s = 0; s < fan_in; ++s) {
+      // Every third segment is empty; the rest vary in length.
+      const std::size_t n = s % 3 == 1 ? 0 : 1 + rng.NextUint32(40);
+      const std::vector<FlatKV> records =
+          MakeFlatRecords(rng, n, /*base=*/s * 1000);
+      for (std::size_t i = 0; i < n; ++i) {
+        reference.emplace_back(records[i].first.cell,
+                               core::OrderedDoubleKey(records[i].first.order),
+                               s, i, records[i].second.id);
+      }
+      segments.push_back(BuildSegment(records));
+    }
+    std::sort(reference.begin(), reference.end());
+    std::vector<FlatRow> expected;
+    for (const auto& [bucket, okey, seg, idx, id] : reference) {
+      expected.emplace_back(bucket, okey, id);
+    }
+
+    std::vector<const FlatSegment*> ptrs;
+    for (const auto& seg : segments) ptrs.push_back(&seg);
+    FlatMerge stream(ptrs);
+    EXPECT_EQ(DrainFlat(stream), expected) << "fan-in " << fan_in;
+    EXPECT_TRUE(stream.status().ok()) << stream.status().ToString();
+    EXPECT_FALSE(stream.Advance()) << "fan-in " << fan_in;
   }
 }
 
-TEST(FlatMergeStrategyTest, AutoPicksLoserTreeAtHighFanIn) {
-  Rng rng(32);
-  std::vector<FlatSegment> segments;
-  for (std::size_t s = 0; s < 12; ++s) {
-    segments.push_back(MakeFlatSegment(rng, 20, 4));
-  }
-  std::vector<const FlatSegment*> few, many;
-  for (const auto& s : segments) many.push_back(&s);
-  few.assign(many.begin(),
-             many.begin() +
-                 (FlatMergeStream<core::CellKey,
-                                  core::ShuffleObject>::kLoserTreeMinFanIn -
-                  1));
-  FlatMergeStream<core::CellKey, core::ShuffleObject> small(few);
-  FlatMergeStream<core::CellKey, core::ShuffleObject> large(many);
-  EXPECT_FALSE(small.using_loser_tree());
-  EXPECT_TRUE(large.using_loser_tree());
+TEST(FlatMergeStreamTest, EmptyInput) {
+  const std::vector<const FlatSegment*> segments;
+  FlatMerge stream(segments);
+  EXPECT_FALSE(stream.Advance());
+  EXPECT_FALSE(stream.Advance());
+  EXPECT_TRUE(stream.status().ok());
+}
+
+TEST(FlatMergeStreamTest, SegmentWithZeroRecords) {
+  Rng rng(33);
+  const FlatSegment empty = BuildSegment({});
+  const std::vector<FlatKV> records = MakeFlatRecords(rng, 1, /*base=*/40);
+  const FlatSegment one = BuildSegment(records);
+  FlatMerge stream({&empty, &one, &empty});
+  const std::vector<FlatRow> out = DrainFlat(stream);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(std::get<2>(out[0]), 40u);
+  EXPECT_TRUE(stream.status().ok());
+}
+
+TEST(FlatMergeStreamTest, CorruptSegmentSurfacesStatus) {
+  Rng rng(34);
+  std::vector<FlatKV> records = MakeFlatRecords(rng, 3, /*base=*/0);
+  for (auto& [k, v] : records) k = {1, 0.0};  // one bucket, emission order
+  FlatSegment corrupt = BuildSegment(records);
+  // Point the second record's pool slice past the end of the pool.
+  const std::size_t payload =
+      3 * FlatSegment::kKeyRowBytes + core::kShufflePayloadStride;
+  wire::StoreU32(corrupt.bytes.data() + payload + 32, 0xfffffff0u);
+  std::vector<FlatKV> later = MakeFlatRecords(rng, 5, /*base=*/100);
+  for (auto& [k, v] : later) k.cell = 5;  // merges after the corrupt run
+  const FlatSegment healthy = BuildSegment(later);
+
+  FlatMerge stream({&corrupt, &healthy});
+  ASSERT_TRUE(stream.Advance());
+  EXPECT_EQ(stream.value().id, 0u);
+  // Refilling the corrupt reader fails: the merge stops there, before the
+  // healthy segment's records, and stays stopped.
+  EXPECT_FALSE(stream.Advance());
+  EXPECT_FALSE(stream.status().ok());
+  EXPECT_FALSE(stream.Advance());
 }
 
 }  // namespace

@@ -383,6 +383,35 @@ TEST(SpillShuffleTest, SpilledJobSurvivesReduceRetries) {
   std::filesystem::remove_all(SpillTestDir());
 }
 
+// Every spill write rolls a storage fault, so map attempts keep failing
+// their verify-after-write until the job runs out of attempts. The files
+// those attempts wrote, including the ones that failed verification, must
+// not outlive the failed job.
+TEST(SpillShuffleTest, FailedJobRemovesItsSpillFiles) {
+  const std::string dir = SpillTestDir() + "/failed_job";
+  std::filesystem::remove_all(dir);
+  std::vector<uint64_t> input;
+  for (uint64_t i = 0; i < 4000; ++i) input.push_back(i);
+  JobConfig config;
+  config.num_map_tasks = 3;
+  config.num_reduce_tasks = 4;
+  config.spill_dir = dir;
+  config.faults.storage_fault_prob = 1.0;
+  config.faults.seed = 5;
+  config.max_task_attempts = 2;
+  auto result = RunJob(SumSpec(), config, input);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsIOError()) << result.status().ToString();
+  std::vector<std::string> left;
+  if (std::filesystem::exists(dir)) {
+    for (const auto& entry : std::filesystem::recursive_directory_iterator(dir)) {
+      if (entry.path().extension() == ".seg") left.push_back(entry.path());
+    }
+  }
+  EXPECT_EQ(left, std::vector<std::string>{});
+  std::filesystem::remove_all(SpillTestDir());
+}
+
 TEST(SpillShuffleTest, UnwritableSpillDirFailsJob) {
   std::vector<uint64_t> input{1, 2, 3};
   JobConfig config;

@@ -14,6 +14,7 @@
 
 #include "common/random.h"
 #include "datagen/generator.h"
+#include "mapreduce/runtime.h"
 #include "spq/engine.h"
 #include "spq/sequential.h"
 
@@ -318,6 +319,41 @@ TEST(FlattenDatasetTest, TagsAndCountsPreserved) {
   EXPECT_TRUE(flat[1].is_data());
   EXPECT_TRUE(flat[2].is_feature());
   EXPECT_EQ(flat[2].keywords, (std::vector<text::TermId>{1, 2}));
+}
+
+// CellKey has FlatShuffleTraits, so an SPQ job runs the flat shuffle or
+// nothing: a spec missing a part that pipeline needs is rejected up front.
+TEST(SpqJobSpecTest, RunJobRejectsIncompleteFlatSpec) {
+  Rng rng(8);
+  const Dataset dataset = RandomDataset(8, 200, 20);
+  const std::vector<ShuffleObject> input = FlattenDataset(dataset);
+  auto grid = geo::UniformGrid::Make(dataset.bounds, 4, 4);
+  ASSERT_TRUE(grid.ok());
+  const Query query = RandomQuery(rng, 20, 5, 0.1);
+  using Spec = mapreduce::JobSpec<ShuffleObject, CellKey, ShuffleObject,
+                                  ResultEntry>;
+  struct Row {
+    const char* name;
+    void (*strip)(Spec&);
+  };
+  const Row rows[] = {
+      {"no mapper_factory", [](Spec& s) { s.mapper_factory = nullptr; }},
+      {"no partitioner", [](Spec& s) { s.partitioner = nullptr; }},
+      {"no flat_reducer_factory",
+       [](Spec& s) { s.flat_reducer_factory = nullptr; }},
+  };
+  mapreduce::JobConfig config;
+  config.num_workers = 2;
+  ASSERT_TRUE(mapreduce::RunJob(MakeSpqJobSpec(Algorithm::kPSPQ, query, *grid),
+                                config, input)
+                  .ok());
+  for (const Row& row : rows) {
+    Spec spec = MakeSpqJobSpec(Algorithm::kPSPQ, query, *grid);
+    row.strip(spec);
+    EXPECT_TRUE(mapreduce::RunJob(spec, config, input).status()
+                    .IsInvalidArgument())
+        << row.name;
+  }
 }
 
 }  // namespace

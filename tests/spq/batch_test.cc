@@ -47,19 +47,6 @@ TEST(BatchKeyTest, SortAndGroupSemantics) {
   EXPECT_EQ(BatchPartitioner({7, 0, 0.0}, 4), BatchPartitioner({7, 3, -1.0}, 4));
 }
 
-TEST(BatchKeyTest, CodecRoundTrip) {
-  BatchCellKey key{42, 7, -0.375};
-  Buffer buf;
-  mapreduce::Codec<BatchCellKey>::Encode(key, buf);
-  BufferReader reader(buf.data(), buf.size());
-  BatchCellKey out;
-  ASSERT_TRUE(mapreduce::Codec<BatchCellKey>::Decode(reader, &out).ok());
-  EXPECT_EQ(out.cell, 42u);
-  EXPECT_EQ(out.query, 7u);
-  EXPECT_DOUBLE_EQ(out.order, -0.375);
-  EXPECT_TRUE(reader.exhausted());
-}
-
 class BatchAlgorithmTest : public ::testing::TestWithParam<Algorithm> {};
 
 TEST_P(BatchAlgorithmTest, BatchMatchesPerQueryExecution) {

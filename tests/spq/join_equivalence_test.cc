@@ -1,7 +1,7 @@
 // Oracle tests for the reduce-side spatial join, in which every group
 // probes its cell's CellGridIndex (reduce_core.h) instead of scanning the
-// cell. Across all three algorithms, both shuffle pipelines, spill/no-spill,
-// cold single-query and batched execution, and warm Query()/QueryBatch(),
+// cell. Across all three algorithms, spill/no-spill, cold single-query and
+// batched execution, and warm Query()/QueryBatch(),
 // the results must match the brute-force linear scan of sequential.h
 // (BruteForceSpq): the same score at every rank, and every reported
 // entry's score equal to that object's true τ(p) (BruteForceScore) —
@@ -39,8 +39,6 @@
 
 namespace spq::core {
 namespace {
-
-using mapreduce::ShuffleMode;
 
 /// Uniform features everywhere; data objects either uniform too, or
 /// confined to the left half of the space (`data_gap`), so roughly half
@@ -113,11 +111,10 @@ std::string SpillDir(bool spill) {
 }
 
 class JoinEquivalenceTest
-    : public ::testing::TestWithParam<
-          std::tuple<Algorithm, ShuffleMode, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<Algorithm, bool>> {};
 
 TEST_P(JoinEquivalenceTest, GridIndexMatchesLinearScan) {
-  const auto [algo, shuffle_mode, spill] = GetParam();
+  const auto [algo, spill] = GetParam();
 
   EngineOptions options;
   // Coarse grid: 4x4 cells over 3000 objects puts ~200 objects in every
@@ -125,11 +122,10 @@ TEST_P(JoinEquivalenceTest, GridIndexMatchesLinearScan) {
   // big enough that probe/bucket edge cases get exercised.
   options.grid_size = 4;
   options.num_workers = 4;
-  // >= FlatMergeStream::kLoserTreeMinFanIn map tasks, so the flat runs
-  // also cover the loser-tree merge end to end.
+  // 9 map tasks: up to nine segments per reduce partition, an odd fan-in
+  // for FlatMergeStream's loser tree.
   options.num_map_tasks = 9;
   options.num_reduce_tasks = 7;  // fewer reducers than cells
-  options.shuffle_mode = shuffle_mode;
   const std::string spill_dir = SpillDir(spill);
   options.spill_dir = spill_dir;
 
@@ -169,16 +165,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(Algorithm::kPSPQ,
                                          Algorithm::kESPQLen,
                                          Algorithm::kESPQSco),
-                       ::testing::Values(ShuffleMode::kCellBucketed,
-                                         ShuffleMode::kLegacySort),
                        ::testing::Bool()),
     [](const auto& info) {
-      std::string name = AlgorithmName(std::get<0>(info.param));
-      name += std::get<1>(info.param) == ShuffleMode::kCellBucketed
-                  ? "_bucketed"
-                  : "_legacy";
-      name += std::get<2>(info.param) ? "_spill" : "_mem";
-      return name;
+      // "_bucketed" names the cell-bucketed flat shuffle every job runs.
+      return AlgorithmName(std::get<0>(info.param)) + "_bucketed" +
+             (std::get<1>(info.param) ? "_spill" : "_mem");
     });
 
 TEST(JoinEquivalenceTest, BatchGridIndexMatchesLinearScan) {
@@ -195,40 +186,36 @@ TEST(JoinEquivalenceTest, BatchGridIndexMatchesLinearScan) {
     max_radius = std::max(max_radius, q.radius);
   }
 
-  for (const ShuffleMode shuffle_mode :
-       {ShuffleMode::kCellBucketed, ShuffleMode::kLegacySort}) {
-    for (const bool spill : {false, true}) {
-      EngineOptions options;
-      options.grid_size = 4;
-      options.num_workers = 4;
-      options.num_map_tasks = 9;
-      options.num_reduce_tasks = 5;
-      options.shuffle_mode = shuffle_mode;
-      const std::string spill_dir = SpillDir(spill);
-      options.spill_dir = spill_dir;
-      SpqEngine engine(dataset, options);
-      ASSERT_TRUE(engine.BuildStore(max_radius).ok());
-      for (Algorithm algo : {Algorithm::kPSPQ, Algorithm::kESPQLen,
-                             Algorithm::kESPQSco}) {
-        auto cold = engine.ExecuteBatch(queries, algo);
-        auto warm = engine.QueryBatch(queries, algo);
-        ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-        ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-        EXPECT_TRUE(warm->warm_path);
-        ASSERT_EQ(cold->per_query.size(), queries.size());
-        ASSERT_EQ(warm->per_query.size(), queries.size());
-        for (std::size_t q = 0; q < queries.size(); ++q) {
-          const std::string label = AlgorithmName(algo) + " query " +
-                                    std::to_string(q) +
-                                    (spill ? " spill" : " mem");
-          ExpectMatchesOracle(cold->per_query[q], oracles[q], dataset,
-                              queries[q], label + " cold");
-          ExpectMatchesOracle(warm->per_query[q], oracles[q], dataset,
-                              queries[q], label + " warm");
-        }
+  for (const bool spill : {false, true}) {
+    EngineOptions options;
+    options.grid_size = 4;
+    options.num_workers = 4;
+    options.num_map_tasks = 9;
+    options.num_reduce_tasks = 5;
+    const std::string spill_dir = SpillDir(spill);
+    options.spill_dir = spill_dir;
+    SpqEngine engine(dataset, options);
+    ASSERT_TRUE(engine.BuildStore(max_radius).ok());
+    for (Algorithm algo : {Algorithm::kPSPQ, Algorithm::kESPQLen,
+                           Algorithm::kESPQSco}) {
+      auto cold = engine.ExecuteBatch(queries, algo);
+      auto warm = engine.QueryBatch(queries, algo);
+      ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+      ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+      EXPECT_TRUE(warm->warm_path);
+      ASSERT_EQ(cold->per_query.size(), queries.size());
+      ASSERT_EQ(warm->per_query.size(), queries.size());
+      for (std::size_t q = 0; q < queries.size(); ++q) {
+        const std::string label = AlgorithmName(algo) + " query " +
+                                  std::to_string(q) +
+                                  (spill ? " spill" : " mem");
+        ExpectMatchesOracle(cold->per_query[q], oracles[q], dataset,
+                            queries[q], label + " cold");
+        ExpectMatchesOracle(warm->per_query[q], oracles[q], dataset,
+                            queries[q], label + " warm");
       }
-      if (!spill_dir.empty()) std::filesystem::remove_all(spill_dir);
     }
+    if (!spill_dir.empty()) std::filesystem::remove_all(spill_dir);
   }
 }
 

@@ -3,7 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <numeric>
 #include <vector>
+
+#include "common/random.h"
+#include "spq/batch.h"
 
 namespace spq::core {
 namespace {
@@ -87,6 +93,115 @@ TEST(ShuffleObjectTest, KindPredicates) {
   obj.kind = ShuffleObject::kFeature;
   EXPECT_TRUE(obj.is_feature());
   EXPECT_FALSE(obj.is_data());
+}
+
+// The double <-> sortable-uint64 key flip must be order-preserving and
+// invertible for every order value the mappers produce.
+TEST(OrderedDoubleKeyTest, PreservesOrderAndRoundTrips) {
+  const std::vector<double> values = {
+      kDataOrderScore, -1.0, -0.75, -0.5, -1.0 / 3.0, -1e-9, -0.0,
+      0.0,  1e-9, 0.5, 1.0, 2.0, 55.0, 1e17};
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    for (std::size_t j = 0; j < values.size(); ++j) {
+      EXPECT_EQ(values[i] < values[j],
+                OrderedDoubleKey(values[i]) < OrderedDoubleKey(values[j]))
+          << values[i] << " vs " << values[j];
+    }
+    const double round = OrderedKeyToDouble(OrderedDoubleKey(values[i]));
+    EXPECT_EQ(round, values[i]);  // -0.0 == 0.0 under ==, as required
+  }
+}
+
+// ---------------------------------------------------------------------------
+// FlatShuffleTraits vs. the comparators. The flat shuffle orders records by
+// (Bucket, OrderKey, emission index) and delimits groups by Bucket; that
+// must be exactly a stable sort under the job's sort comparator, grouped by
+// its grouping comparator. Keys are drawn with heavy ties (few distinct
+// orders), both signed zeros, the eSPQsco data sentinel, and cell and
+// query ids at 0 and 2^32-1.
+// ---------------------------------------------------------------------------
+
+constexpr uint32_t kMaxId = std::numeric_limits<uint32_t>::max();
+
+uint32_t RandomId(Rng& rng) {
+  const uint32_t ids[] = {0, 1, 2, 7, kMaxId - 1, kMaxId};
+  return ids[rng.NextUint32(std::size(ids))];
+}
+
+double RandomOrder(Rng& rng) {
+  const double orders[] = {kDataOrderScore, -1.0, -0.5, -0.0, 0.0,
+                           1.0,             3.0,  55.0};
+  // Mostly tied values; some continuous Jaccard-like scores.
+  if (rng.NextUint32(4) == 0) return -rng.NextDouble();
+  return orders[rng.NextUint32(std::size(orders))];
+}
+
+/// Checks the three traits properties over `keys` against `sort_less` and
+/// `group_equal`; `same_key` compares a MakeKey round trip.
+template <typename K, typename SortLess, typename GroupEqual,
+          typename SameKey>
+void ExpectTraitsMatchComparators(const std::vector<K>& keys,
+                                  SortLess sort_less, GroupEqual group_equal,
+                                  SameKey same_key) {
+  using Traits = mapreduce::FlatShuffleTraits<K, ShuffleObject>;
+  std::vector<std::size_t> by_comparator(keys.size());
+  std::iota(by_comparator.begin(), by_comparator.end(), 0);
+  std::stable_sort(by_comparator.begin(), by_comparator.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return sort_less(keys[a], keys[b]);
+                   });
+  std::vector<std::size_t> by_traits(keys.size());
+  std::iota(by_traits.begin(), by_traits.end(), 0);
+  std::sort(by_traits.begin(), by_traits.end(),
+            [&](std::size_t a, std::size_t b) {
+              const uint64_t ba = Traits::Bucket(keys[a]);
+              const uint64_t bb = Traits::Bucket(keys[b]);
+              if (ba != bb) return ba < bb;
+              const uint64_t oa = Traits::OrderKey(keys[a]);
+              const uint64_t ob = Traits::OrderKey(keys[b]);
+              if (oa != ob) return oa < ob;
+              return a < b;
+            });
+  EXPECT_EQ(by_traits, by_comparator);
+
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    for (std::size_t j = 0; j < keys.size(); ++j) {
+      ASSERT_EQ(Traits::Bucket(keys[i]) == Traits::Bucket(keys[j]),
+                group_equal(keys[i], keys[j]))
+          << "keys " << i << " and " << j;
+    }
+    const K round =
+        Traits::MakeKey(Traits::Bucket(keys[i]), Traits::OrderKey(keys[i]));
+    EXPECT_TRUE(same_key(round, keys[i])) << "key " << i;
+  }
+}
+
+TEST(FlatTraitsOrderTest, CellKeyTraitsMatchComparators) {
+  Rng rng(404);
+  for (int round = 0; round < 5; ++round) {
+    std::vector<CellKey> keys(400);
+    for (CellKey& k : keys) k = {RandomId(rng), RandomOrder(rng)};
+    ExpectTraitsMatchComparators(
+        keys, CellKeySortLess, CellKeyGroupEqual,
+        [](const CellKey& a, const CellKey& b) {
+          return a.cell == b.cell && a.order == b.order;
+        });
+  }
+}
+
+TEST(FlatTraitsOrderTest, BatchCellKeyTraitsMatchComparators) {
+  Rng rng(405);
+  for (int round = 0; round < 5; ++round) {
+    std::vector<BatchCellKey> keys(400);
+    for (BatchCellKey& k : keys) {
+      k = {RandomId(rng), RandomId(rng), RandomOrder(rng)};
+    }
+    ExpectTraitsMatchComparators(
+        keys, BatchKeySortLess, BatchKeyGroupEqual,
+        [](const BatchCellKey& a, const BatchCellKey& b) {
+          return a.cell == b.cell && a.query == b.query && a.order == b.order;
+        });
+  }
 }
 
 }  // namespace

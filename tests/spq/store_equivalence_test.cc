@@ -1,5 +1,5 @@
 // Property test for the resident CellStore serving layer: across all
-// three algorithms, both shuffle modes and spill/no-spill, the warm path
+// three algorithms and spill/no-spill, the warm path
 // (BuildStore() once + Query()/QueryBatch() joining feature streams
 // against the resident per-cell partitions) must return results
 // bit-identical to the cold single-shot path, with identical SPQ counters
@@ -25,8 +25,6 @@
 
 namespace spq::core {
 namespace {
-
-using mapreduce::ShuffleMode;
 
 constexpr uint32_t kGridSize = 9;
 
@@ -108,11 +106,10 @@ void ExpectWarmMatchesCold(const SpqResult& cold, const SpqResult& warm,
 }
 
 class StoreEquivalenceTest
-    : public ::testing::TestWithParam<
-          std::tuple<Algorithm, ShuffleMode, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<Algorithm, bool>> {};
 
 TEST_P(StoreEquivalenceTest, WarmPathMatchesCold) {
-  const auto [algo, shuffle_mode, spill] = GetParam();
+  const auto [algo, spill] = GetParam();
 
   EngineOptions options;
   options.grid_size = kGridSize;
@@ -121,7 +118,6 @@ TEST_P(StoreEquivalenceTest, WarmPathMatchesCold) {
   // Fewer reducers than cells: partitions hold several cells each, so the
   // warm data-only group accounting and cell interleaving get exercised.
   options.num_reduce_tasks = 7;
-  options.shuffle_mode = shuffle_mode;
   std::string spill_dir;
   if (spill) {
     std::string unique =
@@ -178,16 +174,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(Algorithm::kPSPQ,
                                          Algorithm::kESPQLen,
                                          Algorithm::kESPQSco),
-                       ::testing::Values(ShuffleMode::kLegacySort,
-                                         ShuffleMode::kCellBucketed),
                        ::testing::Bool()),
     [](const auto& info) {
-      std::string name = AlgorithmName(std::get<0>(info.param));
-      name += std::get<1>(info.param) == ShuffleMode::kLegacySort
-                  ? "_legacy"
-                  : "_bucketed";
-      name += std::get<2>(info.param) ? "_spill" : "_mem";
-      return name;
+      // "_bucketed" names the cell-bucketed flat shuffle every job runs.
+      return AlgorithmName(std::get<0>(info.param)) + "_bucketed" +
+             (std::get<1>(info.param) ? "_spill" : "_mem");
     });
 
 TEST(StoreEquivalenceTest, WarmBatchMatchesColdBatch) {
@@ -202,43 +193,39 @@ TEST(StoreEquivalenceTest, WarmBatchMatchesColdBatch) {
   }
   queries[3].radius = max_radius;  // boundary inside the batch
 
-  for (ShuffleMode mode :
-       {ShuffleMode::kLegacySort, ShuffleMode::kCellBucketed}) {
-    EngineOptions options;
-    options.grid_size = kGridSize;
-    options.num_workers = 4;
-    options.num_map_tasks = 3;
-    options.num_reduce_tasks = 5;
-    options.shuffle_mode = mode;
-    ApplyEnvFaults(options);
-    SpqEngine engine(dataset, options);
-    ASSERT_TRUE(engine.BuildStore(max_radius).ok());
-    for (Algorithm algo : {Algorithm::kPSPQ, Algorithm::kESPQLen,
-                           Algorithm::kESPQSco}) {
-      auto cold = engine.ExecuteBatch(queries, algo);
-      auto warm = engine.QueryBatch(queries, algo);
-      ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-      ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-      EXPECT_TRUE(warm->warm_path);
-      ASSERT_EQ(cold->per_query.size(), warm->per_query.size());
-      for (std::size_t q = 0; q < cold->per_query.size(); ++q) {
-        const auto& ce = cold->per_query[q];
-        const auto& we = warm->per_query[q];
-        ASSERT_EQ(ce.size(), we.size()) << "query " << q;
-        for (std::size_t i = 0; i < ce.size(); ++i) {
-          EXPECT_EQ(ce[i].id, we[i].id) << "query " << q << " @" << i;
-          EXPECT_EQ(ce[i].score, we[i].score) << "query " << q << " @" << i;
-        }
+  EngineOptions options;
+  options.grid_size = kGridSize;
+  options.num_workers = 4;
+  options.num_map_tasks = 3;
+  options.num_reduce_tasks = 5;
+  ApplyEnvFaults(options);
+  SpqEngine engine(dataset, options);
+  ASSERT_TRUE(engine.BuildStore(max_radius).ok());
+  for (Algorithm algo : {Algorithm::kPSPQ, Algorithm::kESPQLen,
+                         Algorithm::kESPQSco}) {
+    auto cold = engine.ExecuteBatch(queries, algo);
+    auto warm = engine.QueryBatch(queries, algo);
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    EXPECT_TRUE(warm->warm_path);
+    ASSERT_EQ(cold->per_query.size(), warm->per_query.size());
+    for (std::size_t q = 0; q < cold->per_query.size(); ++q) {
+      const auto& ce = cold->per_query[q];
+      const auto& we = warm->per_query[q];
+      ASSERT_EQ(ce.size(), we.size()) << "query " << q;
+      for (std::size_t i = 0; i < ce.size(); ++i) {
+        EXPECT_EQ(ce[i].id, we[i].id) << "query " << q << " @" << i;
+        EXPECT_EQ(ce[i].score, we[i].score) << "query " << q << " @" << i;
       }
-      EXPECT_EQ(cold->job.counters.Get(counter::kGroups),
-                warm->job.counters.Get(counter::kGroups));
-      EXPECT_EQ(cold->job.counters.Get(counter::kPairsTested),
-                warm->job.counters.Get(counter::kPairsTested));
-      EXPECT_EQ(cold->job.counters.Get(counter::kFeaturesExamined),
-                warm->job.counters.Get(counter::kFeaturesExamined));
-      EXPECT_EQ(cold->job.counters.Get(counter::kEarlyTerminations),
-                warm->job.counters.Get(counter::kEarlyTerminations));
     }
+    EXPECT_EQ(cold->job.counters.Get(counter::kGroups),
+              warm->job.counters.Get(counter::kGroups));
+    EXPECT_EQ(cold->job.counters.Get(counter::kPairsTested),
+              warm->job.counters.Get(counter::kPairsTested));
+    EXPECT_EQ(cold->job.counters.Get(counter::kFeaturesExamined),
+              warm->job.counters.Get(counter::kFeaturesExamined));
+    EXPECT_EQ(cold->job.counters.Get(counter::kEarlyTerminations),
+              warm->job.counters.Get(counter::kEarlyTerminations));
   }
 }
 
