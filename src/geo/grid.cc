@@ -1,9 +1,21 @@
 #include "geo/grid.h"
 
-#include <algorithm>
-#include <cmath>
-
 namespace spq::geo {
+
+namespace {
+
+/// Column (or row) of an offset measured in cell edges from the bounds'
+/// low side, on an axis of `n` cells: floor(v) clamped into [0, n - 1].
+/// The clamp happens in the double domain BEFORE the integer cast — the
+/// cast of a NaN, or of a double at or above 2^32, is undefined. NaN lands
+/// in index 0.
+uint32_t ClampedIndex(double v, uint32_t n) {
+  if (!(v > 0.0)) return 0;
+  const double hi = static_cast<double>(n - 1);
+  return static_cast<uint32_t>(v < hi ? v : hi);
+}
+
+}  // namespace
 
 StatusOr<UniformGrid> UniformGrid::Make(const Rect& bounds, uint32_t nx,
                                         uint32_t ny) {
@@ -30,13 +42,8 @@ UniformGrid::UniformGrid(const Rect& bounds, uint32_t nx, uint32_t ny)
 CellId UniformGrid::CellOf(const Point& p) const {
   // floor() then clamp: points on the max boundary (or outside the bounds)
   // land in the nearest edge cell, so every object has exactly one cell.
-  auto clamp_idx = [](double v, uint32_t n) {
-    if (v < 0.0) return 0u;
-    uint32_t i = static_cast<uint32_t>(v);
-    return std::min(i, n - 1);
-  };
-  const uint32_t col = clamp_idx((p.x - bounds_.min_x) / cell_w_, nx_);
-  const uint32_t row = clamp_idx((p.y - bounds_.min_y) / cell_h_, ny_);
+  const uint32_t col = ClampedIndex((p.x - bounds_.min_x) / cell_w_, nx_);
+  const uint32_t row = ClampedIndex((p.y - bounds_.min_y) / cell_h_, ny_);
   return CellAt(col, row);
 }
 
@@ -59,14 +66,10 @@ void UniformGrid::CellsWithinDist(const Point& p, double r,
   // Candidate window: cells whose rect could be within r. Expand the point
   // by r in each direction and convert to index ranges.
   auto to_col = [this](double x) {
-    double v = (x - bounds_.min_x) / cell_w_;
-    if (v < 0.0) return 0u;
-    return std::min(static_cast<uint32_t>(v), nx_ - 1);
+    return ClampedIndex((x - bounds_.min_x) / cell_w_, nx_);
   };
   auto to_row = [this](double y) {
-    double v = (y - bounds_.min_y) / cell_h_;
-    if (v < 0.0) return 0u;
-    return std::min(static_cast<uint32_t>(v), ny_ - 1);
+    return ClampedIndex((y - bounds_.min_y) / cell_h_, ny_);
   };
   // Window widened by one cell on each side: a point exactly on a cell
   // border has MINDIST 0 to the neighbor, but floor() already assigns the

@@ -38,7 +38,10 @@ class UniformGrid {
   double cell_width() const { return cell_w_; }
   double cell_height() const { return cell_h_; }
 
-  /// The enclosing cell of p (clamped into range).
+  /// The enclosing cell of p. Edge-cell contract: any finite or ±inf
+  /// coordinate outside the bounds (or on the max boundary) lands in the
+  /// nearest edge cell, however far out it lies; a NaN coordinate lands
+  /// in column (or row) 0.
   CellId CellOf(const Point& p) const;
 
   /// The rectangle of cell `id`.
@@ -50,7 +53,9 @@ class UniformGrid {
   CellId CellAt(uint32_t col, uint32_t row) const { return row * nx_ + col; }
 
   /// All cells c != CellOf(p) with MINDIST(p, c) <= r, i.e. the duplication
-  /// targets of a feature object at p (Lemma 1). r must be >= 0.
+  /// targets of a feature object at p (Lemma 1). r must be >= 0. The
+  /// candidate window is clamped under CellOf's edge-cell contract, so a
+  /// point far outside the bounds still reaches every cell within r.
   std::vector<CellId> CellsWithinDist(const Point& p, double r) const {
     std::vector<CellId> out;
     CellsWithinDist(p, r, out);

@@ -8,12 +8,7 @@
 namespace spq::index {
 
 CentralizedSpqIndex::CentralizedSpqIndex(const core::Dataset* dataset)
-    : dataset_(dataset) {
-  std::vector<text::KeywordSet> documents;
-  documents.reserve(dataset_->features.size());
-  for (const auto& f : dataset_->features) documents.push_back(f.keywords);
-  inverted_ = InvertedIndex(documents);
-}
+    : dataset_(dataset), inverted_(dataset_->features) {}
 
 std::vector<core::ResultEntry> CentralizedSpqIndex::Execute(
     const core::Query& query) const {

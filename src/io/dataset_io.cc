@@ -1,8 +1,10 @@
 #include "io/dataset_io.h"
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 
 #include "common/buffer.h"
@@ -24,6 +26,20 @@ Status CheckRowCount(uint64_t count, uint64_t min_row_bytes,
   if (count <= reader.remaining() / min_row_bytes) return Status::OK();
   return Status::InvalidArgument("row count " + std::to_string(count) +
                                  " exceeds the payload");
+}
+
+/// Coordinates and bounds must be finite: a NaN or infinite value has no
+/// grid cell to live in. The binary decoder rejects such a row, naming it;
+/// the TSV reader's stream extraction already fails on one.
+bool AllFinite(std::initializer_list<double> values) {
+  for (double v : values) {
+    if (!std::isfinite(v)) return false;
+  }
+  return true;
+}
+
+Status NonFinite(const std::string& row) {
+  return Status::InvalidArgument(row + ": non-finite coordinate");
 }
 
 }  // namespace
@@ -64,6 +80,10 @@ StatusOr<core::Dataset> DecodeDataset(const std::vector<uint8_t>& bytes) {
   SPQ_RETURN_NOT_OK(reader.GetDouble(&dataset.bounds.min_y));
   SPQ_RETURN_NOT_OK(reader.GetDouble(&dataset.bounds.max_x));
   SPQ_RETURN_NOT_OK(reader.GetDouble(&dataset.bounds.max_y));
+  const geo::Rect& bounds = dataset.bounds;
+  if (!AllFinite({bounds.min_x, bounds.min_y, bounds.max_x, bounds.max_y})) {
+    return NonFinite("bounds");
+  }
   uint64_t num_data;
   SPQ_RETURN_NOT_OK(reader.GetVarint(&num_data));
   SPQ_RETURN_NOT_OK(CheckRowCount(num_data, 17, reader));
@@ -73,6 +93,9 @@ StatusOr<core::Dataset> DecodeDataset(const std::vector<uint8_t>& bytes) {
     SPQ_RETURN_NOT_OK(reader.GetVarint(&p.id));
     SPQ_RETURN_NOT_OK(reader.GetDouble(&p.pos.x));
     SPQ_RETURN_NOT_OK(reader.GetDouble(&p.pos.y));
+    if (!AllFinite({p.pos.x, p.pos.y})) {
+      return NonFinite("data row " + std::to_string(i));
+    }
     dataset.data.push_back(p);
   }
   uint64_t num_features;
@@ -84,6 +107,9 @@ StatusOr<core::Dataset> DecodeDataset(const std::vector<uint8_t>& bytes) {
     SPQ_RETURN_NOT_OK(reader.GetVarint(&f.id));
     SPQ_RETURN_NOT_OK(reader.GetDouble(&f.pos.x));
     SPQ_RETURN_NOT_OK(reader.GetDouble(&f.pos.y));
+    if (!AllFinite({f.pos.x, f.pos.y})) {
+      return NonFinite("feature row " + std::to_string(i));
+    }
     std::vector<text::TermId> ids;
     SPQ_RETURN_NOT_OK(
         mapreduce::Codec<std::vector<text::TermId>>::Decode(reader, &ids));

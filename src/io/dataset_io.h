@@ -28,7 +28,9 @@ namespace spq::io {
 /// Serializes a dataset to the binary format.
 std::vector<uint8_t> EncodeDataset(const core::Dataset& dataset);
 
-/// Parses the binary format. Corrupt or truncated input yields an error.
+/// Parses the binary format. Corrupt or truncated input yields an error,
+/// and so does a NaN or infinite coordinate or bound (InvalidArgument
+/// naming the row).
 StatusOr<core::Dataset> DecodeDataset(const std::vector<uint8_t>& bytes);
 
 /// Writes the binary format to a DFS file (write-once).
@@ -45,7 +47,9 @@ Status SaveDatasetTsv(const std::string& path, const core::Dataset& dataset,
                       const text::Vocabulary* vocab = nullptr);
 
 /// Reads the TSV format from a local file. With a Vocabulary, keyword
-/// tokens are interned; otherwise they must be numeric term ids.
+/// tokens are interned; otherwise they must be numeric term ids. A row
+/// that does not parse is InvalidArgument naming its file and line; a NaN
+/// or infinite coordinate or bound does not parse as a number.
 StatusOr<core::Dataset> LoadDatasetTsv(const std::string& path,
                                        text::Vocabulary* vocab = nullptr);
 

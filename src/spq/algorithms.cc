@@ -28,10 +28,9 @@ class SpqMapper final
         query_sig_(text::TermSignature(query_.keywords.ids())) {}
 
   void Map(const ShuffleObject& x, SpqMapContext& ctx) override {
-    const geo::CellId cell = grid_.CellOf(x.pos);
     if (x.is_data()) {
       ctx.counters().Increment(counter::kDataObjects);
-      ctx.Emit(CellKey{cell, DataOrder(algo_)}, x);
+      ctx.Emit(CellKey{grid_.CellOf(x.pos), DataOrder(algo_)}, x);
       return;
     }
     // Signature screen ahead of the exact merge: a disjoint signature AND
@@ -39,7 +38,7 @@ class SpqMapper final
     // drop below with common == 0 — same counter, same outcome, minus the
     // O(|x.W| + |q.W|) merge. Only valid when the prefilter is on (the
     // ablation needs `common` for FeatureOrder) and the record carries a
-    // computed signature (warm-path inputs do; 0 means "unknown").
+    // computed signature (FlattenDataset's do; 0 means "unknown").
     if (keyword_prefilter_ && x.keyword_sig != 0 &&
         (x.keyword_sig & query_sig_) == 0) {
       ctx.counters().Increment(counter::kFeaturesPruned);
@@ -48,8 +47,8 @@ class SpqMapper final
     // Map-side pruning (line 9 of Algorithm 1): features sharing no term
     // with q.W can never score a data object and are dropped before the
     // shuffle. Disabled only for the prefilter ablation. Read through the
-    // span accessors: warm-path inputs are borrowed aliases whose keyword
-    // list lives in the engine's flattened-dataset arena.
+    // span accessors: a record may be a borrowed alias whose keyword list
+    // lives in another object's storage.
     const std::size_t common = text::SortedIntersectionSize(
         KeywordData(x), KeywordCount(x), query_.keywords.ids().data(),
         query_.keywords.ids().size());
@@ -63,16 +62,12 @@ class SpqMapper final
     // input is the term pool and outlives the job), so Lemma-1 duplication
     // below is an O(1) span copy per target cell, not a vector clone.
     const ShuffleObject borrowed = x.Borrowed();
-    ctx.Emit(CellKey{cell, order}, borrowed);
-    // Lemma 1: duplicate into every other cell within MINDIST <= r.
-    // Scratch overload: one target list reused across every feature this
-    // mapper instance maps (a per-feature allocation otherwise).
-    grid_.CellsWithinDist(x.pos, query_.radius, targets_scratch_);
-    for (geo::CellId target : targets_scratch_) {
-      ctx.Emit(CellKey{target, order}, borrowed);
-    }
-    ctx.counters().Increment(counter::kFeatureDuplicates,
-                             targets_scratch_.size());
+    // Own cell, then Lemma 1's duplicates; one target list reused across
+    // every feature this mapper instance maps.
+    const std::size_t dups = EmitFeatureCopies(
+        grid_, x.pos, query_.radius, targets_scratch_,
+        [&](geo::CellId cell) { ctx.Emit(CellKey{cell, order}, borrowed); });
+    ctx.counters().Increment(counter::kFeatureDuplicates, dups);
   }
 
  private:

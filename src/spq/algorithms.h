@@ -1,7 +1,9 @@
 #ifndef SPQ_SPQ_ALGORITHMS_H_
 #define SPQ_SPQ_ALGORITHMS_H_
 
+#include <cstddef>
 #include <string>
+#include <vector>
 
 #include "geo/grid.h"
 #include "mapreduce/job.h"
@@ -34,6 +36,21 @@ double DataOrder(Algorithm algo);
 /// precomputed by the caller's prefilter pass.
 double FeatureOrder(Algorithm algo, const Query& query,
                     const ShuffleObject& x, std::size_t common);
+
+/// Emits a kept feature at `pos` to its own cell, then to every other cell
+/// within MINDIST `radius` (Lemma 1's duplication targets, refilled into
+/// the caller's `targets` scratch): `emit(cell)` once per copy. Returns the
+/// number of duplicates, the map.feature_duplicates increment. The one
+/// emission rule of the cold mappers and the warm map.
+template <typename Emit>
+std::size_t EmitFeatureCopies(const geo::UniformGrid& grid,
+                              const geo::Point& pos, double radius,
+                              std::vector<geo::CellId>& targets, Emit&& emit) {
+  emit(grid.CellOf(pos));
+  grid.CellsWithinDist(pos, radius, targets);
+  for (geo::CellId target : targets) emit(target);
+  return targets.size();
+}
 
 /// Counter names written by the mappers/reducers (exposed for benches and
 /// tests; values are in JobStats::counters after a run).

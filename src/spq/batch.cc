@@ -42,10 +42,9 @@ class BatchMapper final
   }
 
   void Map(const ShuffleObject& x, BatchMapContext& ctx) override {
-    const geo::CellId cell = grid_.CellOf(x.pos);
     if (x.is_data()) {
       ctx.counters().Increment(counter::kDataObjects);
-      ctx.Emit(BatchCellKey{cell, kDataQuery, 0.0}, x);
+      ctx.Emit(BatchCellKey{grid_.CellOf(x.pos), kDataQuery, 0.0}, x);
       return;
     }
     // Exact dictionary screen: when the batch's distinct query terms fit
@@ -56,7 +55,7 @@ class BatchMapper final
     // pairs on keyword-dense features, so at batch scale the merges it
     // fails to skip used to dominate the map phase.
     if (dict_enabled_ && keyword_prefilter_) {
-      MapWithDict(x, cell, ctx);
+      MapWithDict(x, ctx);
       return;
     }
     // One borrowed alias serves every query's emissions: the batch
@@ -80,7 +79,7 @@ class BatchMapper final
         ++pruned;
         continue;
       }
-      // Span accessors, not x.keywords: warm-path inputs are borrowed.
+      // Span accessors, not x.keywords: a record may be a borrowed alias.
       const std::size_t common = text::SortedIntersectionSize(
           KeywordData(x), KeywordCount(x), query.keywords.ids().data(),
           query.keywords.ids().size());
@@ -89,15 +88,7 @@ class BatchMapper final
         continue;
       }
       ++kept;
-      const double order = FeatureOrder(algo_, query, x, common);
-      ctx.Emit(BatchCellKey{cell, q + 1, order}, borrowed);
-      // Scratch overload: the per-(feature, query) target-list allocation
-      // would otherwise multiply by the batch size.
-      grid_.CellsWithinDist(x.pos, query.radius, targets_scratch_);
-      for (geo::CellId target : targets_scratch_) {
-        ctx.Emit(BatchCellKey{target, q + 1, order}, borrowed);
-      }
-      dups += targets_scratch_.size();
+      dups += EmitCopies(x, q, common, borrowed, ctx);
     }
     if (pruned > 0) {
       ctx.counters().Increment(counter::kFeaturesPruned, pruned);
@@ -152,8 +143,7 @@ class BatchMapper final
 
   /// The dict-screened feature path: one linear walk tags the feature's
   /// dictionary terms, then every query costs two ANDs and a popcount.
-  void MapWithDict(const ShuffleObject& x, geo::CellId cell,
-                   BatchMapContext& ctx) {
+  void MapWithDict(const ShuffleObject& x, BatchMapContext& ctx) {
     TermMask fmask{};
     const uint32_t* kw = KeywordData(x);
     const std::size_t n = KeywordCount(x);
@@ -179,14 +169,7 @@ class BatchMapper final
         continue;
       }
       ++kept;
-      const Query& query = (*queries_)[q];
-      const double order = FeatureOrder(algo_, query, x, common);
-      ctx.Emit(BatchCellKey{cell, q + 1, order}, borrowed);
-      grid_.CellsWithinDist(x.pos, query.radius, targets_scratch_);
-      for (geo::CellId target : targets_scratch_) {
-        ctx.Emit(BatchCellKey{target, q + 1, order}, borrowed);
-      }
-      dups += targets_scratch_.size();
+      dups += EmitCopies(x, q, common, borrowed, ctx);
     }
     if (pruned > 0) {
       ctx.counters().Increment(counter::kFeaturesPruned, pruned);
@@ -195,6 +178,21 @@ class BatchMapper final
       ctx.counters().Increment(counter::kFeaturesKept, kept);
       ctx.counters().Increment(counter::kFeatureDuplicates, dups);
     }
+  }
+
+  /// Emits kept feature `x` for query `q` to its cell and its Lemma-1
+  /// targets; returns the duplicate count. The scratch target list is
+  /// reused: a per-(feature, query) allocation would multiply by the batch
+  /// size.
+  std::size_t EmitCopies(const ShuffleObject& x, uint32_t q,
+                         std::size_t common, const ShuffleObject& borrowed,
+                         BatchMapContext& ctx) {
+    const Query& query = (*queries_)[q];
+    const double order = FeatureOrder(algo_, query, x, common);
+    return EmitFeatureCopies(
+        grid_, x.pos, query.radius, targets_scratch_, [&](geo::CellId cell) {
+          ctx.Emit(BatchCellKey{cell, q + 1, order}, borrowed);
+        });
   }
 
   Algorithm algo_;

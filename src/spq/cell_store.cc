@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <memory>
 #include <optional>
+#include <span>
 #include <tuple>
 #include <utility>
 
@@ -1095,27 +1096,28 @@ bool TrySignatureSkip(const CellStore& store, Algorithm algo,
 }
 
 /// One map emission of the warm route: its key and the index of the
-/// feature that produced it. The SPQ mappers only emit borrowed aliases of
-/// the record they are mapping, so the index stands for the value.
+/// feature that produced it, which stands for the value (the reduce cores
+/// read the feature record itself).
 template <typename K>
 struct WarmEmission {
   K key;
   uint32_t feature;
 };
 
-/// The warm route's MapContext: appends compact emissions, with no
-/// partition fan-out and no segment encode.
+/// The key of a warm emission for the query at `query` in its batch: the
+/// single-query key carries no query index, the batched key carries
+/// query + 1 (index 0 is the cold batched job's data sentinel).
 template <typename K>
-struct WarmMapContext final : mr::MapContext<K, ShuffleObject> {
-  void Emit(const K& key, const ShuffleObject& /*alias*/) override {
-    emissions.push_back({key, feature});
-  }
-  mr::Counters& counters() override { return task_counters; }
-
-  uint32_t feature = 0;  ///< index of the record being mapped
-  std::vector<WarmEmission<K>> emissions;
-  mr::Counters task_counters;
-};
+K WarmKey(geo::CellId cell, uint32_t query, double order);
+template <>
+CellKey WarmKey<CellKey>(geo::CellId cell, uint32_t /*query*/, double order) {
+  return CellKey{cell, order};
+}
+template <>
+BatchCellKey WarmKey<BatchCellKey>(geo::CellId cell, uint32_t query,
+                                   double order) {
+  return BatchCellKey{cell, query + 1, order};
+}
 
 /// The query a group belongs to inside its cell: the single-query key has
 /// one group per cell, the batched key one per (cell, query).
@@ -1152,10 +1154,16 @@ struct WarmGroupCursor {
 };
 
 /// The route under both warm entry points:
-///  - map: contiguous splits of `features` on `pool`, one mapper and one
-///    WarmMapContext per split;
+///  - map: contiguous splits [lo, hi) of `features` on `pool`. For each
+///    query, a split walks the query terms' postings from lower_bound(lo)
+///    up to hi, adding |f.W ∩ q.W| into a per-split count array, then
+///    visits the features with a positive count — every feature when
+///    `keyword_prefilter` is off — in ascending index, emitting each one
+///    under FeatureOrder to its own cell and its Lemma-1 targets
+///    (EmitFeatureCopies). Features sharing no term with the query are
+///    never touched, and no intersection is merged;
 ///  - group: a stable counting sort of the emissions by cell, scattered
-///    split by split, so each cell's run stays in feature-input order;
+///    split by split;
 ///  - reduce: the reached cells in parallel, each run put in
 ///    MergeOrderLess order and handed group by group to
 ///    `serve_group(key, cursor, counters, scratch, out)`.
@@ -1163,15 +1171,25 @@ struct WarmGroupCursor {
 /// feature reaches are added to reduce.groups, as the cold single-query
 /// job runs a feature-less group in each.
 ///
+/// The map counters are tallied per split and flushed once, under the cold
+/// mappers' guards, so the counter set matches the cold job's:
+/// features_pruned (B × |F| − kept, for a batch of B queries) only when
+/// positive, kept and duplicates only when something was kept.
+///
 /// JobStats: one map task per split, one reduce task per reduce slot, no
 /// shuffle bytes, and no task failures or spill files (faults, retries and
 /// spill_dir shape only cold jobs and the store build). Spans and
 /// spq.job.* metrics keep the runtime's names; job.shuffle is the sort.
 template <typename K, typename Out, typename ServeGroup>
 StatusOr<mr::JobOutput<Out>> RunWarmRoute(
-    const CellStore& store, const WarmMapperFactory<K>& make_mapper,
-    ThreadPool& pool, const std::vector<ShuffleObject>& features,
+    const CellStore& store, Algorithm algo, std::span<const Query> queries,
+    bool keyword_prefilter, const std::vector<ShuffleObject>& features,
+    const index::InvertedIndex& postings, ThreadPool& pool,
     std::optional<uint32_t> data_cells, ServeGroup&& serve_group) {
+  if (postings.num_documents() != features.size()) {
+    return Status::InvalidArgument(
+        "warm route: the postings index does not cover the feature input");
+  }
   mr::JobOutput<Out> result;
   mr::JobStats& stats = result.stats;
   stats.input_records = features.size();
@@ -1181,22 +1199,52 @@ StatusOr<mr::JobOutput<Out>> RunWarmRoute(
   const std::size_t slots = pool.num_threads() + 1;
 
   // ---------------------------------------------------------------- map --
+  struct MapSplit {
+    std::vector<WarmEmission<K>> emissions;
+    uint64_t kept = 0;  // (feature, query) pairs visited
+    uint64_t dups = 0;
+  };
   // Several splits per slot, so a slot that starts late still gets work.
   const std::size_t num_splits = std::min(features.size(), 4 * slots);
-  std::vector<WarmMapContext<K>> splits(num_splits);
+  std::vector<MapSplit> splits(num_splits);
   stats.map_task_seconds.assign(num_splits, 0.0);
+  const geo::UniformGrid& grid = store.grid();
   Stopwatch map_watch;
   {
     TRACE_SPAN("job.map");
     ParallelFor(pool, num_splits, [&](std::size_t s) {
       TRACE_SPAN("map.task");
       Stopwatch task_watch;
-      auto mapper = make_mapper();
-      WarmMapContext<K>& ctx = splits[s];
-      const std::size_t end = features.size() * (s + 1) / num_splits;
-      for (std::size_t i = features.size() * s / num_splits; i < end; ++i) {
-        ctx.feature = static_cast<uint32_t>(i);
-        mapper->Map(features[i], ctx);
+      MapSplit& split = splits[s];
+      const auto lo = static_cast<uint32_t>(features.size() * s / num_splits);
+      const auto hi =
+          static_cast<uint32_t>(features.size() * (s + 1) / num_splits);
+      // |f.W ∩ q.W| of feature lo + j at common[j], 32-bit since a feature
+      // may share more than 255 terms with a query. The visit loop zeroes
+      // each entry as it reads it, leaving the array clean for the next
+      // query.
+      std::vector<uint32_t> common(hi - lo, 0);
+      std::vector<geo::CellId> targets;
+      for (uint32_t q = 0; q < queries.size(); ++q) {
+        const Query& query = queries[q];
+        for (text::TermId term : query.keywords.ids()) {
+          const std::span<const uint32_t> docs = postings.Postings(term);
+          for (auto it = std::lower_bound(docs.begin(), docs.end(), lo);
+               it != docs.end() && *it < hi; ++it) {
+            ++common[*it - lo];
+          }
+        }
+        for (uint32_t i = lo; i < hi; ++i) {
+          const uint32_t shared = std::exchange(common[i - lo], 0);
+          if (shared == 0 && keyword_prefilter) continue;
+          ++split.kept;
+          const double order = FeatureOrder(algo, query, features[i], shared);
+          split.dups += EmitFeatureCopies(
+              grid, features[i].pos, query.radius, targets,
+              [&](geo::CellId cell) {
+                split.emissions.push_back({WarmKey<K>(cell, q, order), i});
+              });
+        }
       }
       stats.map_task_seconds[s] = task_watch.ElapsedSeconds();
     });
@@ -1211,11 +1259,20 @@ StatusOr<mr::JobOutput<Out>> RunWarmRoute(
   std::vector<geo::CellId> cells;  // cells some feature reached, ascending
   {
     TRACE_SPAN("job.shuffle");
-    for (WarmMapContext<K>& split : splits) {
-      stats.counters.MergeFrom(split.task_counters);
+    uint64_t kept = 0, dups = 0;
+    for (const MapSplit& split : splits) {
+      kept += split.kept;
+      dups += split.dups;
       for (const WarmEmission<K>& e : split.emissions) {
-        ++cell_begin[e.key.cell + 1];  // the mappers use the store's grid
+        ++cell_begin[e.key.cell + 1];  // emitted on the store's grid
       }
+    }
+    // One flush per query (or batch) under the cold mappers' guards.
+    const uint64_t pruned = queries.size() * features.size() - kept;
+    if (pruned > 0) stats.counters.Increment(counter::kFeaturesPruned, pruned);
+    if (kept > 0) {
+      stats.counters.Increment(counter::kFeaturesKept, kept);
+      stats.counters.Increment(counter::kFeatureDuplicates, dups);
     }
     for (geo::CellId c = 0; c < num_cells; ++c) {
       if (cell_begin[c + 1] > 0) cells.push_back(c);
@@ -1224,7 +1281,7 @@ StatusOr<mr::JobOutput<Out>> RunWarmRoute(
     stats.map_output_records = cell_begin.back();
     grouped.resize(cell_begin.back());
     std::vector<std::size_t> fill(cell_begin.begin(), cell_begin.end() - 1);
-    for (WarmMapContext<K>& split : splits) {
+    for (MapSplit& split : splits) {
       for (const WarmEmission<K>& e : split.emissions) {
         grouped[fill[e.key.cell]++] = e;
       }
@@ -1302,8 +1359,9 @@ StatusOr<mr::JobOutput<Out>> RunWarmRoute(
 
 StatusOr<mr::JobOutput<ResultEntry>> RunWarmQuery(
     const CellStore& store, uint32_t data_cells, Algorithm algo,
-    const Query& query, const WarmMapperFactory<CellKey>& make_mapper,
-    ThreadPool& pool, const std::vector<ShuffleObject>& features) {
+    const Query& query, bool keyword_prefilter,
+    const std::vector<ShuffleObject>& features,
+    const index::InvertedIndex& postings, ThreadPool& pool) {
   const uint64_t query_sig = text::TermSignature(query.keywords.ids());
   auto serve_group = [&](const CellKey& key, auto& cursor,
                          mr::Counters& counters,
@@ -1323,14 +1381,15 @@ StatusOr<mr::JobOutput<ResultEntry>> RunWarmQuery(
                            [&out](const ResultEntry& e) { out.push_back(e); });
     return Status::OK();
   };
-  return RunWarmRoute<CellKey, ResultEntry>(store, make_mapper, pool,
-                                            features, data_cells, serve_group);
+  return RunWarmRoute<CellKey, ResultEntry>(
+      store, algo, std::span<const Query>(&query, 1), keyword_prefilter,
+      features, postings, pool, data_cells, serve_group);
 }
 
 StatusOr<mr::JobOutput<BatchResultEntry>> RunWarmBatch(
     const CellStore& store, Algorithm algo, const std::vector<Query>& queries,
-    const WarmMapperFactory<BatchCellKey>& make_mapper, ThreadPool& pool,
-    const std::vector<ShuffleObject>& features) {
+    bool keyword_prefilter, const std::vector<ShuffleObject>& features,
+    const index::InvertedIndex& postings, ThreadPool& pool) {
   std::vector<uint64_t> query_sigs;
   query_sigs.reserve(queries.size());
   for (const Query& q : queries) {
@@ -1340,9 +1399,7 @@ StatusOr<mr::JobOutput<BatchResultEntry>> RunWarmBatch(
                          mr::Counters& counters,
                          reduce_core::QueryScratch& scratch,
                          std::vector<BatchResultEntry>& out) -> Status {
-    // The feature-only input cannot produce the data sentinel (query 0);
-    // out-of-range indices are skipped defensively like the cold reducer.
-    if (key.query == 0 || key.query > queries.size()) return Status::OK();
+    // The warm map emits query q under key.query = q + 1 (WarmKey).
     const uint32_t q = key.query - 1;
     if (TrySignatureSkip(store, algo, queries[q], query_sigs[q], key.cell,
                          cursor, counters)) {
@@ -1363,7 +1420,8 @@ StatusOr<mr::JobOutput<BatchResultEntry>> RunWarmBatch(
   // never reach a reduce core, so feature-less cells count no group there
   // either.
   return RunWarmRoute<BatchCellKey, BatchResultEntry>(
-      store, make_mapper, pool, features, std::nullopt, serve_group);
+      store, algo, queries, keyword_prefilter, features, postings, pool,
+      std::nullopt, serve_group);
 }
 
 }  // namespace spq::core

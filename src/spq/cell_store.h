@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -13,6 +12,7 @@
 #include "common/statusor.h"
 #include "dfs/mini_dfs.h"
 #include "geo/grid.h"
+#include "index/inverted_index.h"
 #include "mapreduce/job.h"
 #include "mapreduce/merge.h"
 #include "mapreduce/runtime.h"
@@ -90,7 +90,8 @@ struct CellTextSummary {
 ///     rebuilt per reduce group.
 ///
 /// Warm queries then skip the MapReduce job altogether (see RunWarmQuery /
-/// RunWarmBatch): their features are mapped and grouped by cell in
+/// RunWarmBatch): the features that share a term with the query, found
+/// through the engine's term postings, are mapped and grouped by cell in
 /// process, and each group joins against the resident partition of its
 /// cell — the data side is never mapped or shuffled again. Per-query state
 /// (scores, report bitmaps) lives in the caller's
@@ -470,23 +471,26 @@ class CellStore {
   mutable std::atomic<uint64_t> cells_rebuilt_{0};
 };
 
-/// Builds one mapper per map split of the warm route: the mapper_factory
-/// of MakeSpqJobSpec / MakeBatchSpqJobSpec.
-template <typename K>
-using WarmMapperFactory = std::function<
-    std::unique_ptr<mapreduce::Mapper<ShuffleObject, K, ShuffleObject>>()>;
-
 /// Answers one query from the store by the direct warm route, with no
-/// MapReduce job: `features` (the engine's borrowed feature records) are
-/// mapped in contiguous splits on `pool` into compact (key, feature index)
-/// emissions, grouped by cell with a stable counting sort in the order the
-/// cold job's merge delivers, and joined group by group, in parallel,
-/// against the cells' resident partitions through the reduce cores.
-/// `data_cells` counts the store cells with live data; those no feature
-/// reaches count as reduce groups, as in the cold job. Results and SPQ
-/// counters are bit-identical to the cold single-shot path; the JobStats
-/// describe the route (its splits and reduce slots as tasks, no shuffle
-/// bytes).
+/// MapReduce job. The feature side is driven by `postings`, the engine's
+/// term → ascending-feature-index index over `features` (the engine's
+/// borrowed feature records; postings.num_documents() must equal
+/// features.size(), else InvalidArgument). Each contiguous map split of
+/// `features`, on `pool`, walks the query terms' postings inside its index
+/// range to count |f.W ∩ q.W| per feature, then visits only the features
+/// whose count is positive — every feature when `keyword_prefilter` is off
+/// (EngineOptions::keyword_prefilter, the ablation) — in ascending index,
+/// emitting each to its own cell and its Lemma-1 targets as compact
+/// (key, feature index) records. The emissions are grouped by cell with a
+/// stable counting sort in the order the cold job's merge delivers, and
+/// joined group by group, in parallel, against the cells' resident
+/// partitions through the reduce cores. `data_cells` counts the store
+/// cells with live data; those no feature reaches count as reduce groups,
+/// as in the cold job. Results and SPQ counters are bit-identical to the
+/// cold single-shot path (map.features_pruned counts the features the
+/// postings never reached); the JobStats describe the route: input_records
+/// = |F|, map_output_records = kept + duplicates, its splits and reduce
+/// slots as tasks, no shuffle bytes.
 ///
 /// Each group is first screened against its cell's CellTextSummary (when
 /// the query has keywords); a group the summary proves score-less is
@@ -495,16 +499,18 @@ using WarmMapperFactory = std::function<
 /// (reduce.cells_pruned / reduce.signature_checks record the screening).
 StatusOr<mapreduce::JobOutput<ResultEntry>> RunWarmQuery(
     const CellStore& store, uint32_t data_cells, Algorithm algo,
-    const Query& query, const WarmMapperFactory<CellKey>& make_mapper,
-    ThreadPool& pool, const std::vector<ShuffleObject>& features);
+    const Query& query, bool keyword_prefilter,
+    const std::vector<ShuffleObject>& features,
+    const index::InvertedIndex& postings, ThreadPool& pool);
 
-/// Batched twin of RunWarmQuery: every (cell, query) group joins against
+/// Batched twin of RunWarmQuery: each map split runs the postings walk and
+/// visit once per batch query, and every (cell, query) group joins against
 /// the cell's one resident partition and its shared index, with the same
 /// per-group summary screen.
 StatusOr<mapreduce::JobOutput<BatchResultEntry>> RunWarmBatch(
     const CellStore& store, Algorithm algo, const std::vector<Query>& queries,
-    const WarmMapperFactory<BatchCellKey>& make_mapper, ThreadPool& pool,
-    const std::vector<ShuffleObject>& features);
+    bool keyword_prefilter, const std::vector<ShuffleObject>& features,
+    const index::InvertedIndex& postings, ThreadPool& pool);
 
 }  // namespace spq::core
 

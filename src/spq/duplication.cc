@@ -29,7 +29,7 @@ uint32_t AdviseGridSize(double radius, double extent, uint32_t max_per_side) {
   if (radius <= 0.0 || extent <= 0.0) return max_per_side;
   // a = extent / G >= 2r  =>  G <= extent / (2r).
   const double g = std::floor(extent / (2.0 * radius));
-  if (g < 1.0) return 1;
+  if (!(g >= 1.0)) return 1;  // also a NaN extent: never cast a NaN
   return static_cast<uint32_t>(
       std::min<double>(g, static_cast<double>(max_per_side)));
 }

@@ -150,7 +150,8 @@ StoreSnapshot::~StoreSnapshot() = default;
 SpqEngine::SpqEngine(Dataset dataset, EngineOptions options)
     : dataset_(std::move(dataset)),
       options_(options),
-      input_(FlattenDataset(dataset_)) {
+      input_(FlattenDataset(dataset_)),
+      feature_postings_(dataset_.features) {
   // The warm feature-side input: borrowed aliases into input_ (which the
   // engine owns for its lifetime), so no keyword list is cloned.
   // FlattenDataset lays out data first, features last, so the features
@@ -446,12 +447,11 @@ StatusOr<SpqResult> SpqEngine::Query(const core::Query& query,
     return result;
   }
 
-  const auto spec =
-      MakeSpqJobSpec(algo, query, store.grid(), options_.keyword_prefilter);
   SPQ_ASSIGN_OR_RETURN(
       auto output,
-      RunWarmQuery(store, snap->data_cells, algo, query, spec.mapper_factory,
-                   *warm_pool_, feature_input_));
+      RunWarmQuery(store, snap->data_cells, algo, query,
+                   options_.keyword_prefilter, feature_input_,
+                   feature_postings_, *warm_pool_));
   SpqResult result =
       MakeSpqResult(query, algo, store.grid().nx(), std::move(output));
   result.info.warm_path = true;
@@ -504,11 +504,10 @@ StatusOr<SpqBatchResult> SpqEngine::QueryBatch(
     return result;
   }
 
-  const auto spec = MakeBatchSpqJobSpec(algo, queries, store.grid(),
-                                        options_.keyword_prefilter);
   SPQ_ASSIGN_OR_RETURN(
-      auto output, RunWarmBatch(store, algo, queries, spec.mapper_factory,
-                                *warm_pool_, feature_input_));
+      auto output,
+      RunWarmBatch(store, algo, queries, options_.keyword_prefilter,
+                   feature_input_, feature_postings_, *warm_pool_));
   SpqBatchResult result = MakeBatchResult(queries, std::move(output));
   result.warm_path = true;
   EngineRegistryMetrics::Get().warm_batch_ns.Record(watch.ElapsedNanos());

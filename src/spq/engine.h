@@ -12,6 +12,7 @@
 
 #include "common/metrics.h"
 #include "common/statusor.h"
+#include "index/inverted_index.h"
 #include "mapreduce/job.h"
 #include "spq/algorithms.h"
 #include "spq/shuffle_types.h"
@@ -67,9 +68,9 @@ struct ServingOptions {
 /// The MapReduce knobs — num_map_tasks, num_reduce_tasks, partitioner,
 /// faults, max_task_attempts and spill_dir — shape only the cold jobs
 /// (Execute/ExecuteBatch and the cold fallback) and the store build.
-/// Warm Query()/QueryBatch() run no MapReduce job: they map and group
-/// features in process on the engine's num_workers-thread pool (see
-/// RunWarmQuery in cell_store.h).
+/// Warm Query()/QueryBatch() run no MapReduce job: they map the features
+/// their query terms' postings reach and group them in process on the
+/// engine's num_workers-thread pool (see RunWarmQuery in cell_store.h).
 ///
 /// The shuffle has no knob: every SPQ job runs the flat-arena pipeline
 /// (RunJob in mapreduce/runtime.h). Nor does the reduce-side join: every
@@ -92,9 +93,13 @@ struct EngineOptions {
   mapreduce::FaultSpec faults;
   int max_task_attempts = 4;
   /// Map-side keyword prefilter (Algorithm 1 line 9). Disable only for
-  /// the ablation study — results are identical either way. With it on, a
-  /// 64-bit TermSignature AND stands in for the exact q.W ∩ f.W merge on
-  /// provably disjoint features.
+  /// the ablation study — results are identical either way. On the cold
+  /// jobs, a 64-bit TermSignature AND stands in for the exact q.W ∩ f.W
+  /// merge on provably disjoint features. On the warm path the engine's
+  /// term postings drive the map: with the prefilter on, Query() and
+  /// QueryBatch() visit only the features that share a term with q.W;
+  /// with it off, the same loop visits every feature (RunWarmQuery in
+  /// cell_store.h).
   bool keyword_prefilter = true;
   /// When non-empty, the shuffle runs out-of-core: map-output segments are
   /// spilled to files under this directory (see JobConfig::spill_dir).
@@ -221,9 +226,11 @@ struct SpqBatchResult {
 ///
 ///   Warm (resident): BuildStore() runs the dataset-side map/shuffle ONCE
 ///   into a CellStore of per-cell flat-arena partitions (cell_store.h);
-///   Query()/QueryBatch() then map only their features, group them by
-///   cell in process and join each group against the resident partition
-///   and its cached spatial index — no MapReduce job. Results and SPQ
+///   Query()/QueryBatch() then map only the features that share a term
+///   with the query (found through a term postings index the engine builds
+///   once over F), group them by cell in process and join each group
+///   against the resident partition and its cached spatial index — no
+///   MapReduce job. Results and SPQ
 ///   counters are bit-identical to the cold path (store_equivalence
 ///   tests); a query whose radius exceeds the store's build radius falls
 ///   back to the cold path, loudly (see SpqRunInfo::cold_fallback).
@@ -234,7 +241,9 @@ struct SpqBatchResult {
 ///   auto result = engine.Query(query, Algorithm::kESPQSco);
 ///   for (const auto& e : result->entries) { ... }
 ///
-/// The engine flattens the dataset once (the map input "files").
+/// The engine flattens the dataset once (the map input "files") and
+/// builds the feature postings once; features never change after
+/// construction (Insert/Delete touch data objects only).
 ///
 /// Thread safety: every serving entry point — Execute, ExecuteBatch,
 /// Query, QueryBatch, CheckpointStore — is const and safe to call from
@@ -416,6 +425,11 @@ class SpqEngine {
   /// tail (no keyword list is cloned). Grid-independent, so it is built
   /// once at construction and shared by every store generation.
   std::vector<ShuffleObject> feature_input_;
+  /// Term → ascending feature-index postings over dataset_.features (the
+  /// indices of feature_input_), built once here: mutations touch data
+  /// objects only (cell_store.h invariant M1), so it never changes. The
+  /// warm map visits only the features its query terms' postings reach.
+  index::InvertedIndex feature_postings_;
   /// Current warm serving generation; see StoreSnapshot. Readers pin via
   /// snapshot(); BuildStore/OpenStore/mutations publish via
   /// PublishStore(). snapshot_mu_ guards ONLY the pointer swap/copy —

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "common/random.h"
@@ -52,6 +53,52 @@ TEST(GridTest, BoundaryPointsClampIntoEdgeCells) {
   // Outside points clamp too (total partitioning).
   EXPECT_EQ(grid.CellOf({-0.5, 0.5}), grid.CellAt(0, 2));
   EXPECT_EQ(grid.CellOf({2.0, 2.0}), grid.CellAt(3, 3));
+}
+
+// The edge-cell contract holds however far out a coordinate lies: the
+// index is clamped as a double before the integer cast, which is undefined
+// for values of 2^32 or more (they used to wrap into column 0).
+TEST(GridTest, FarAndInfiniteCoordinatesClampIntoEdgeCells) {
+  UniformGrid grid = MakeUnitGrid(50, 50);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double x : {1e19, 1e300, inf}) {
+    EXPECT_EQ(grid.ColOf(grid.CellOf({x, 0.5})), 49u) << x;
+    EXPECT_EQ(grid.RowOf(grid.CellOf({0.5, x})), 49u) << x;
+  }
+  for (double x : {-1e19, -1e300, -inf}) {
+    EXPECT_EQ(grid.ColOf(grid.CellOf({x, 0.5})), 0u) << x;
+    EXPECT_EQ(grid.RowOf(grid.CellOf({0.5, x})), 0u) << x;
+  }
+  // NaN has no nearest edge; it lands in column 0, without undefined
+  // behaviour.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(grid.ColOf(grid.CellOf({nan, 0.5})), 0u);
+}
+
+// A feature (2^32 - 0.5) cell widths east of the grid: the east end of its
+// Lemma-1 window lies past 2^32 cell widths. Its window must still cover
+// a point 0.63 cell widths further east (same edge cell), and with a
+// radius reaching back into the grid it must find exactly the cells a
+// brute-force MINDIST scan finds.
+TEST(GridTest, FarPointWindowIsNotEmpty) {
+  UniformGrid grid = MakeUnitGrid(50, 50);
+  const double w = grid.cell_width();
+  const Point f{(4294967296.0 - 0.5) * w, 0.5};
+  const Point p{f.x + 0.63 * w, 0.5};
+  ASSERT_LE(Distance(f, p), 0.7 * w);
+  EXPECT_EQ(grid.CellOf(p), grid.CellOf(f));
+  EXPECT_EQ(grid.ColOf(grid.CellOf(f)), 49u);
+
+  const double r = f.x - 0.5;  // reaches the grid's east half
+  auto targets = grid.CellsWithinDist(f, r);
+  EXPECT_FALSE(targets.empty());
+  std::set<CellId> brute;
+  for (CellId id = 0; id < grid.num_cells(); ++id) {
+    if (id != grid.CellOf(f) && MinDist2(f, grid.CellRect(id)) <= r * r) {
+      brute.insert(id);
+    }
+  }
+  EXPECT_EQ(std::set<CellId>(targets.begin(), targets.end()), brute);
 }
 
 TEST(GridTest, EveryPointBelongsToExactlyOneCell) {

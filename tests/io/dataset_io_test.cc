@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
+#include <utility>
 
 #include "common/buffer.h"
 #include "datagen/generator.h"
@@ -38,6 +40,69 @@ void ExpectDatasetsEqual(const Dataset& a, const Dataset& b) {
 
 std::string TempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
+}
+
+/// One NaN or infinite value planted in an otherwise valid dataset, and
+/// the row each parser must name when it rejects it.
+struct NonFiniteCase {
+  std::string name;
+  Dataset dataset;
+  std::string binary_row;  // DecodeDataset's name for the row
+  std::size_t tsv_line;    // the row's line in SaveDatasetTsv's output
+};
+
+/// NaN, +inf and -inf in each coordinate of a data row and a feature row
+/// and in each bounds field. SaveDatasetTsv writes the bounds header on
+/// line 1, then the two data rows, then the two feature rows.
+std::vector<NonFiniteCase> NonFiniteCases() {
+  Dataset base;
+  base.bounds = {0, 0, 1, 1};
+  base.data = {{1, {0.1, 0.2}}, {2, {0.3, 0.4}}};
+  for (core::ObjectId id : {3, 4}) {
+    core::FeatureObject f;
+    f.id = id;
+    f.pos = {0.5, 0.6};
+    f.keywords = text::KeywordSet({4, 5});
+    base.features.push_back(f);
+  }
+  struct Target {
+    const char* name;
+    double* (*field)(Dataset&);
+    const char* binary_row;
+    std::size_t tsv_line;
+  };
+  const Target targets[] = {
+      {"data x", [](Dataset& d) { return &d.data[1].pos.x; },
+       "data row 1", 3},
+      {"data y", [](Dataset& d) { return &d.data[1].pos.y; },
+       "data row 1", 3},
+      {"feature x", [](Dataset& d) { return &d.features[1].pos.x; },
+       "feature row 1", 5},
+      {"feature y", [](Dataset& d) { return &d.features[1].pos.y; },
+       "feature row 1", 5},
+      {"bounds min_x", [](Dataset& d) { return &d.bounds.min_x; },
+       "bounds", 1},
+      {"bounds min_y", [](Dataset& d) { return &d.bounds.min_y; },
+       "bounds", 1},
+      {"bounds max_x", [](Dataset& d) { return &d.bounds.max_x; },
+       "bounds", 1},
+      {"bounds max_y", [](Dataset& d) { return &d.bounds.max_y; },
+       "bounds", 1},
+  };
+  const std::pair<const char*, double> values[] = {
+      {"NaN", std::numeric_limits<double>::quiet_NaN()},
+      {"+inf", std::numeric_limits<double>::infinity()},
+      {"-inf", -std::numeric_limits<double>::infinity()}};
+  std::vector<NonFiniteCase> cases;
+  for (const auto& [value_name, value] : values) {
+    for (const Target& target : targets) {
+      NonFiniteCase c{std::string(value_name) + " in " + target.name, base,
+                      target.binary_row, target.tsv_line};
+      *target.field(c.dataset) = value;
+      cases.push_back(std::move(c));
+    }
+  }
+  return cases;
 }
 
 TEST(BinaryFormatTest, EncodeDecodeRoundTrip) {
@@ -142,6 +207,20 @@ TEST(BinaryFormatTest, RejectsLyingCounts) {
   }
 }
 
+// NaN and infinite coordinates and bounds have no grid cell; the decoder
+// rejects them as InvalidArgument naming the row. The bytes come from
+// EncodeDataset, so only the planted value is hostile.
+TEST(BinaryFormatTest, RejectsNonFiniteValues) {
+  for (const NonFiniteCase& c : NonFiniteCases()) {
+    auto decoded = DecodeDataset(EncodeDataset(c.dataset));
+    ASSERT_TRUE(decoded.status().IsInvalidArgument())
+        << c.name << ": " << decoded.status().ToString();
+    EXPECT_NE(decoded.status().ToString().find(c.binary_row),
+              std::string::npos)
+        << c.name << ": " << decoded.status().ToString();
+  }
+}
+
 TEST(DfsDatasetTest, StoreAndLoadThroughDfs) {
   dfs::MiniDfs dfs({.num_datanodes = 5, .block_size = 4096,
                     .replication = 3});
@@ -222,6 +301,17 @@ TEST(TsvFormatTest, BadRowsRejected) {
     std::fclose(f);
   }
   EXPECT_TRUE(LoadDatasetTsv(path).status().IsInvalidArgument());
+  // NaN and infinite values, written by SaveDatasetTsv, do not parse as
+  // numbers: the row is rejected by file and line.
+  for (const NonFiniteCase& c : NonFiniteCases()) {
+    ASSERT_TRUE(SaveDatasetTsv(path, c.dataset).ok()) << c.name;
+    auto loaded = LoadDatasetTsv(path);
+    ASSERT_TRUE(loaded.status().IsInvalidArgument())
+        << c.name << ": " << loaded.status().ToString();
+    const std::string where = path + ":" + std::to_string(c.tsv_line) + ":";
+    EXPECT_NE(loaded.status().ToString().find(where), std::string::npos)
+        << c.name << ": " << loaded.status().ToString();
+  }
   std::remove(path.c_str());
 }
 

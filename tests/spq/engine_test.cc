@@ -206,5 +206,52 @@ TEST(EngineTest, DeterministicAcrossWorkerCounts) {
   }
 }
 
+// A feature and a data object (2^32 - 0.5) cell widths east of the grid,
+// 0.63 cell widths apart, both clamp into the east edge cell. The grid
+// used to cast before it clamped: the object, past 2^32 cell widths,
+// wrapped into column 0 and the feature's Lemma-1 window came out empty,
+// so every algorithm, cold and warm, silently answered nothing.
+TEST(EngineTest, FarOutsideObjectsClampIntoTheEdgeCell) {
+  constexpr uint32_t kGrid = 50;
+  const double w = 1.0 / kGrid;
+  Dataset dataset;
+  dataset.bounds = {0.0, 0.0, 1.0, 1.0};
+  const double x = (4294967296.0 - 0.5) / kGrid;
+  dataset.data = {{1, {x + 0.63 * w, 0.5}}};
+  FeatureObject f;
+  f.id = 2;
+  f.pos = {x, 0.5};
+  f.keywords = text::KeywordSet({7});
+  dataset.features.push_back(f);
+
+  Query q;
+  q.k = 1;
+  q.radius = 0.7 * w;
+  q.keywords = text::KeywordSet({7});
+  const std::vector<ResultEntry> oracle = BruteForceSpq(dataset, q);
+  ASSERT_EQ(oracle.size(), 1u);
+  EXPECT_EQ(oracle[0].id, 1u);
+  EXPECT_EQ(oracle[0].score, 1.0);
+
+  SpqEngine engine(dataset, EngineOptions{.grid_size = kGrid});
+  ASSERT_TRUE(engine.BuildStore(q.radius).ok());
+  for (Algorithm algo : {Algorithm::kPSPQ, Algorithm::kESPQLen,
+                         Algorithm::kESPQSco}) {
+    auto cold = engine.Execute(q, algo);
+    auto warm = engine.Query(q, algo);
+    ASSERT_TRUE(cold.ok()) << AlgorithmName(algo);
+    ASSERT_TRUE(warm.ok()) << AlgorithmName(algo);
+    EXPECT_TRUE(warm->info.warm_path) << AlgorithmName(algo);
+    for (const auto* got : {&cold->entries, &warm->entries}) {
+      const char* route = got == &cold->entries ? "cold" : "warm";
+      ASSERT_EQ(got->size(), 1u) << AlgorithmName(algo) << " " << route;
+      EXPECT_EQ((*got)[0].id, oracle[0].id)
+          << AlgorithmName(algo) << " " << route;
+      EXPECT_EQ((*got)[0].score, oracle[0].score)
+          << AlgorithmName(algo) << " " << route;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace spq::core
