@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks for the hot kernels under every figure:
 // Jaccard merges, grid cell math and duplication targets, top-k updates,
-// the flat shuffle's segment layout, and the k-way merge streams.
+// the flat shuffle's segment layout, and its k-way merge.
 
 #include <benchmark/benchmark.h>
 
@@ -113,74 +113,10 @@ void BM_TopKUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_TopKUpdate)->Arg(10)->Arg(100);
 
-void BM_MergeStream(benchmark::State& state) {
-  // Merge 8 sorted segments of 1000 records each.
-  Rng rng(6);
-  std::vector<mapreduce::SortedSegment> segments(8);
-  for (auto& seg : segments) {
-    std::vector<std::pair<uint32_t, uint64_t>> records(1000);
-    for (auto& r : records) r = {rng.NextUint32(10000), rng.NextUint64()};
-    std::sort(records.begin(), records.end());
-    Buffer buf;
-    for (const auto& [k, v] : records) {
-      mapreduce::Codec<uint32_t>::Encode(k, buf);
-      mapreduce::Codec<uint64_t>::Encode(v, buf);
-    }
-    seg.num_records = records.size();
-    seg.bytes = buf.TakeBytes();
-  }
-  std::vector<const mapreduce::SortedSegment*> ptrs;
-  for (const auto& s : segments) ptrs.push_back(&s);
-  for (auto _ : state) {
-    mapreduce::MergeStream<uint32_t, uint64_t> stream(
-        ptrs, [](const uint32_t& a, const uint32_t& b) { return a < b; });
-    uint64_t sum = 0;
-    while (stream.Advance()) sum += stream.value();
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() * 8000);
-}
-BENCHMARK(BM_MergeStream);
-
-// Same merge with the comparator as a concrete template parameter (direct
-// calls) instead of the defaulted std::function — the indirection cost the
-// Less parameter exists to avoid.
-void BM_MergeStreamConcreteLess(benchmark::State& state) {
-  Rng rng(6);
-  std::vector<mapreduce::SortedSegment> segments(8);
-  for (auto& seg : segments) {
-    std::vector<std::pair<uint32_t, uint64_t>> records(1000);
-    for (auto& r : records) r = {rng.NextUint32(10000), rng.NextUint64()};
-    std::sort(records.begin(), records.end());
-    Buffer buf;
-    for (const auto& [k, v] : records) {
-      mapreduce::Codec<uint32_t>::Encode(k, buf);
-      mapreduce::Codec<uint64_t>::Encode(v, buf);
-    }
-    seg.num_records = records.size();
-    seg.bytes = buf.TakeBytes();
-  }
-  std::vector<const mapreduce::SortedSegment*> ptrs;
-  for (const auto& s : segments) ptrs.push_back(&s);
-  struct Less {
-    bool operator()(const uint32_t& a, const uint32_t& b) const {
-      return a < b;
-    }
-  };
-  for (auto _ : state) {
-    mapreduce::MergeStream<uint32_t, uint64_t, Less> stream(ptrs, Less{});
-    uint64_t sum = 0;
-    while (stream.Advance()) sum += stream.value();
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() * 8000);
-}
-BENCHMARK(BM_MergeStreamConcreteLess);
-
-// The flat-arena twin of BM_MergeStream on realistic SPQ records:
-// `fan_in` segments of 512 pre-bucketed (CellKey, ShuffleObject) records
-// merged through the loser tree into zero-copy views. The fan-in is the
-// number of map tasks feeding one reduce partition.
+// The shuffle's k-way merge on realistic SPQ records: `fan_in` segments
+// of 512 pre-bucketed (CellKey, ShuffleObject) records merged through the
+// loser tree into zero-copy views. The fan-in is the number of map tasks
+// feeding one reduce partition.
 void BM_FlatMerge(benchmark::State& state) {
   const std::size_t fan_in = static_cast<std::size_t>(state.range(0));
   Rng rng(9);

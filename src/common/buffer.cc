@@ -24,11 +24,6 @@ void Buffer::PutVarint(uint64_t v) {
   bytes_.push_back(static_cast<uint8_t>(v));
 }
 
-void Buffer::PutString(const std::string& s) {
-  PutVarint(s.size());
-  PutBytes(s.data(), s.size());
-}
-
 void Buffer::PutBytes(const void* data, std::size_t n) {
   const uint8_t* p = static_cast<const uint8_t*>(data);
   bytes_.insert(bytes_.end(), p, p + n);
@@ -79,15 +74,6 @@ Status BufferReader::GetVarint(uint64_t* out) {
     shift += 7;
   }
   *out = v;
-  return Status::OK();
-}
-
-Status BufferReader::GetString(std::string* out) {
-  uint64_t n;
-  SPQ_RETURN_NOT_OK(GetVarint(&n));
-  if (remaining() < n) return Status::OutOfRange("GetString past end");
-  out->assign(reinterpret_cast<const char*>(data_ + pos_), n);
-  pos_ += n;
   return Status::OK();
 }
 

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -12,10 +11,9 @@ namespace spq {
 
 /// \brief Growable byte sink with primitive encoders.
 ///
-/// The MapReduce shuffle serializes every emitted record through a Buffer,
-/// which gives byte-accurate shuffle accounting (what HDFS/network traffic
-/// would have been) and forces map outputs through a realistic
-/// encode/decode boundary instead of sharing pointers between "machines".
+/// The byte formats that leave the process — the binary dataset file, the
+/// store WAL frames and the checkpoint manifest — are written through a
+/// Buffer and read back through a BufferReader.
 ///
 /// Encoding: fixed-width little-endian for 32/64-bit scalars and doubles,
 /// LEB128 varints for lengths and small counts.
@@ -34,8 +32,6 @@ class Buffer {
   void PutDouble(double v);
   /// LEB128 unsigned varint (1-10 bytes).
   void PutVarint(uint64_t v);
-  /// Varint length followed by raw bytes.
-  void PutString(const std::string& s);
   void PutBytes(const void* data, std::size_t n);
 
   /// Appends the full contents of another buffer (no length prefix).
@@ -50,7 +46,7 @@ class Buffer {
 /// \brief Sequential reader over a byte span produced by Buffer.
 ///
 /// All Get* methods return Status::OutOfRange on truncated input instead of
-/// reading past the end, so corrupted shuffle segments surface as errors.
+/// reading past the end, so corrupted bytes surface as errors.
 class BufferReader {
  public:
   BufferReader(const uint8_t* data, std::size_t size)
@@ -67,7 +63,6 @@ class BufferReader {
   Status GetUint64(uint64_t* out);
   Status GetDouble(double* out);
   Status GetVarint(uint64_t* out);
-  Status GetString(std::string* out);
   Status GetBytes(void* out, std::size_t n);
 
  private:

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <string>
 #include <vector>
 
 #include "common/buffer.h"
@@ -12,10 +11,11 @@
 namespace spq::mapreduce {
 
 /// Raw fixed-width scalar access for the flat-arena segment format
-/// (merge.h). Unlike the Buffer/Codec varint encoding, these write host
-/// byte order at fixed strides, so a record header can be decoded with
-/// plain loads and no per-field bounds checks. Spill files written this
-/// way are read back on the same host, exactly like Buffer's doubles.
+/// (merge.h) and the spill framing. Unlike the Buffer/Codec varint
+/// encoding, these write host byte order at fixed strides, so a record
+/// header can be decoded with plain loads and no per-field bounds checks.
+/// Spill files written this way are read back on the same host, exactly
+/// like Buffer's doubles.
 namespace wire {
 
 inline void StoreU32(uint8_t* dst, uint32_t v) { std::memcpy(dst, &v, 4); }
@@ -40,17 +40,14 @@ inline double LoadF64(const uint8_t* src) {
 
 }  // namespace wire
 
-/// \brief Serialization trait for the keys and values of the comparator
-/// pipeline (RunJob in runtime.h; flat-shuffle jobs encode through their
-/// FlatShuffleTraits instead).
+/// \brief Varint serialization of the binary dataset format
+/// (io/dataset_io.cc): each keyword list is a Codec<std::vector<TermId>>.
+/// The shuffle does not use it; its records are laid out by
+/// FlatShuffleTraits with the fixed-width `wire` helpers above.
 ///
-/// Every such key/value type must specialize Codec<T> with:
+/// A specialization provides:
 ///   static void Encode(const T& v, Buffer& buf);
 ///   static Status Decode(BufferReader& reader, T* out);
-///
-/// The runtime serializes every emitted record through its Codec — records
-/// never cross the simulated machine boundary as live objects, which keeps
-/// the shuffle byte accounting honest and catches non-serializable state.
 template <typename T>
 struct Codec;
 
@@ -62,30 +59,6 @@ struct Codec<uint32_t> {
     SPQ_RETURN_NOT_OK(reader.GetVarint(&v));
     *out = static_cast<uint32_t>(v);
     return Status::OK();
-  }
-};
-
-template <>
-struct Codec<uint64_t> {
-  static void Encode(const uint64_t& v, Buffer& buf) { buf.PutVarint(v); }
-  static Status Decode(BufferReader& reader, uint64_t* out) {
-    return reader.GetVarint(out);
-  }
-};
-
-template <>
-struct Codec<double> {
-  static void Encode(const double& v, Buffer& buf) { buf.PutDouble(v); }
-  static Status Decode(BufferReader& reader, double* out) {
-    return reader.GetDouble(out);
-  }
-};
-
-template <>
-struct Codec<std::string> {
-  static void Encode(const std::string& v, Buffer& buf) { buf.PutString(v); }
-  static Status Decode(BufferReader& reader, std::string* out) {
-    return reader.GetString(out);
   }
 };
 

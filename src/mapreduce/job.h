@@ -114,26 +114,6 @@ class Mapper {
   virtual void Map(const In& record, MapContext<K, V>& ctx) = 0;
 };
 
-/// \brief Lazy iterator over the values of one reduce group, in the order
-/// imposed by the job's sort comparator (Hadoop secondary sort).
-///
-/// key() exposes the *full* composite key of the current value — exactly
-/// like Hadoop, where the key object observed inside reduce() mutates as
-/// the value iterator advances. eSPQsco reads the map-computed score from
-/// there. A reducer that returns without draining the stream terminates the
-/// group early; the runtime skips the remaining values.
-template <typename K, typename V>
-class GroupValues {
- public:
-  virtual ~GroupValues() = default;
-  /// Advances to the next value; false at end of group.
-  virtual bool Next() = 0;
-  /// Composite key of the current value. Valid after a true Next().
-  virtual const K& key() const = 0;
-  /// Current value. Valid after a true Next().
-  virtual const V& value() const = 0;
-};
-
 /// \brief Reduce-side emitter.
 template <typename Out>
 class ReduceContext {
@@ -143,18 +123,9 @@ class ReduceContext {
   virtual Counters& counters() = 0;
 };
 
-/// \brief User reduce function, invoked once per group.
-template <typename K, typename V, typename Out>
-class Reducer {
- public:
-  virtual ~Reducer() = default;
-  virtual void Reduce(const K& group_key, GroupValues<K, V>& values,
-                      ReduceContext<Out>& ctx) = 0;
-};
-
-/// Concrete (non-virtual) group cursor of the flat-arena shuffle path;
-/// defined in merge.h. Its value() returns FlatShuffleTraits<K,V>::View —
-/// a zero-copy view into the segment arena — instead of a decoded V.
+/// Group cursor of the shuffle, defined in merge.h. Its value() returns
+/// FlatShuffleTraits<K, V>::View — a zero-copy view into the segment
+/// arena — instead of a decoded V.
 template <typename K, typename V>
 class FlatGroupCursor;
 
@@ -162,29 +133,25 @@ class FlatGroupCursor;
 /// Hadoop customization points the paper relies on (Section 2.1): the
 /// Partitioner, the sort Comparator and the grouping Comparator.
 ///
-/// The key type picks the pipeline (RunJob, runtime.h). A (K, V) with a
-/// FlatShuffleTraits specialization encodes the sort and grouping
-/// comparators in its traits and runs the flat-arena shuffle: it needs
-/// mapper_factory, partitioner and flat_reducer_factory. Any other key
-/// type runs the comparator pipeline and needs mapper_factory,
-/// reducer_factory, partitioner, sort_less and group_equal.
+/// The partitioner is a field here. The two comparators are not: the
+/// (K, V) FlatShuffleTraits specialization (merge.h) carries them as a
+/// radix decomposition of the key — records sort by (bucket, order key)
+/// and a reduce group is one bucket. RunJob (runtime.h) requires that
+/// specialization and all three fields below.
 template <typename In, typename K, typename V, typename Out>
 struct JobSpec {
   std::function<std::unique_ptr<Mapper<In, K, V>>()> mapper_factory;
-  std::function<std::unique_ptr<Reducer<K, V, Out>>()> reducer_factory;
   /// key -> reduce partition in [0, num_reduce_tasks).
   std::function<uint32_t(const K&, uint32_t)> partitioner;
-  /// Strict weak ordering of composite keys (controls value order).
-  std::function<bool(const K&, const K&)> sort_less;
-  /// Equivalence used to delimit reduce groups (coarser than sort_less).
-  std::function<bool(const K&, const K&)> group_equal;
 
-  /// Flat-shuffle reduce entry point, required when FlatShuffleTraits<K, V>
-  /// is specialized. The outer factory runs once per reduce attempt
+  /// Reduce entry point. The outer factory runs once per reduce attempt
   /// (stateful reducers capture their state in the returned callable); the
-  /// inner callable runs once per group with a zero-copy cursor. The
-  /// dispatch cost is one std::function call per *group*; every per-record
-  /// call inside the cursor is direct.
+  /// inner callable runs once per group with a zero-copy cursor that
+  /// delivers the group's values in sort order (Hadoop secondary sort). A
+  /// reducer that returns without draining the cursor terminates the group
+  /// early; the runtime skips the remaining values. The dispatch cost is
+  /// one std::function call per *group*; every per-record call inside the
+  /// cursor is direct.
   using FlatReduceFn =
       std::function<void(const K&, FlatGroupCursor<K, V>&, ReduceContext<Out>&)>;
   std::function<FlatReduceFn()> flat_reducer_factory;

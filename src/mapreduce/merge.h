@@ -2,12 +2,11 @@
 #define SPQ_MAPREDUCE_MERGE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
-#include "common/buffer.h"
 #include "common/status.h"
 #include "mapreduce/codec.h"
 #include "mapreduce/job.h"
@@ -15,25 +14,16 @@
 
 namespace spq::mapreduce {
 
-/// \brief One sorted run of serialized (K, V) records — the unit a map task
-/// ships to a reduce partition (a Hadoop map-output spill segment).
-/// Lives either in memory (`bytes`) or on disk (`spill_path`).
-struct SortedSegment {
-  std::vector<uint8_t> bytes;
-  uint64_t num_records = 0;
-  /// Non-empty when the segment was spilled to disk; `bytes` is then empty.
-  std::string spill_path;
-  /// Serialized size, regardless of where the segment lives.
-  uint64_t byte_size = 0;
-};
+/// The reduce half of the runtime's one shuffle (runtime.h): map tasks lay
+/// each reduce partition out as a FlatSegment, and a reduce task merges
+/// its segments through FlatMergeStream and walks the groups with
+/// FlatGroupCursor.
 
-// ---------------------------------------------------------------------------
-// Flat-arena shuffle (key types with FlatShuffleTraits)
-// ---------------------------------------------------------------------------
-
-/// \brief Radix-structure trait enabling the sort-free, flat-arena shuffle
-/// for a (K, V) record type. The primary template is disabled; jobs opt in
-/// by specializing it (see spq/shuffle_types.h and spq/batch.h).
+/// \brief Radix-structure trait that makes a (K, V) record type runnable:
+/// it carries the job's sort and grouping comparators (the paper's
+/// Section 2.1 customization points) as integer keys, and the value's
+/// fixed-stride encoding. The primary template is disabled; jobs opt in by
+/// specializing it (see spq/shuffle_types.h).
 ///
 /// An enabled specialization must provide:
 ///
@@ -96,82 +86,6 @@ struct FlatSegment {
 };
 
 namespace internal {
-
-/// Decodes records lazily off a SortedSegment. In-memory segments are read
-/// in place; spilled segments stream through a SpillRegionReader's
-/// peek-available window (spill.h) — the same compact/refill/grow
-/// primitive the flat cursors use — instead of being slurped whole.
-template <typename K, typename V>
-class SegmentReader {
- public:
-  explicit SegmentReader(const SortedSegment* segment)
-      : segment_(segment), reader_(nullptr, 0) {
-    if (!segment->spill_path.empty()) {
-      spilled_ = true;
-      region_.Open(segment->spill_path, 0, segment->byte_size);
-    } else {
-      reader_ = BufferReader(segment->bytes.data(), segment->bytes.size());
-    }
-  }
-
-  /// Decodes the next record into key()/value(). False at end-of-segment.
-  /// Decode errors are latched into status().
-  bool Next() {
-    if (!status_.ok() || read_ >= segment_->num_records) return false;
-    if (!spilled_) {
-      Status st = Codec<K>::Decode(reader_, &key_);
-      if (st.ok()) st = Codec<V>::Decode(reader_, &value_);
-      if (!st.ok()) {
-        status_ = st;
-        return false;
-      }
-      ++read_;
-      return true;
-    }
-    // Spilled: a varint record's size is only known once it parses, so
-    // decode from the peeked window; OutOfRange means the record is split
-    // across the window edge — FetchMore and retry.
-    for (;;) {
-      BufferReader r(region_.peek_data(), region_.peek_len());
-      K k{};
-      V v{};
-      Status st = Codec<K>::Decode(r, &k);
-      if (st.ok()) st = Codec<V>::Decode(r, &v);
-      if (st.ok()) {
-        region_.Consume(r.position());
-        key_ = std::move(k);
-        value_ = std::move(v);
-        ++read_;
-        return true;
-      }
-      if (!st.IsOutOfRange()) {
-        status_ = st;
-        return false;
-      }
-      Status more = region_.FetchMore();
-      if (!more.ok()) {
-        // Region exhausted mid-record (truncated segment) surfaces the
-        // decode error; I/O failures surface as themselves.
-        status_ = more.IsOutOfRange() ? st : more;
-        return false;
-      }
-    }
-  }
-
-  const K& key() const { return key_; }
-  const V& value() const { return value_; }
-  const Status& status() const { return status_; }
-
- private:
-  const SortedSegment* segment_;
-  BufferReader reader_;  // over segment_->bytes (in-memory segments)
-  bool spilled_ = false;
-  SpillRegionReader region_;  // over the spill file (spilled segments)
-  uint64_t read_ = 0;
-  K key_{};
-  V value_{};
-  Status status_;
-};
 
 /// Cursor over one FlatSegment: in-memory segments are walked zero-copy;
 /// spilled segments stream through three SpillRegionReaders (key rows,
@@ -287,103 +201,6 @@ class FlatSegmentReader {
 };
 
 }  // namespace internal
-
-/// \brief K-way merge over the sorted segments a reduce partition received
-/// from all map tasks — the "merge" half of Hadoop's sort/merge shuffle.
-///
-/// Records come out in sort_less order; ties across segments break by
-/// segment index, so the merge is deterministic and stable with respect to
-/// map task order. The comparator is a template parameter so concrete
-/// comparators merge with direct calls; it defaults to std::function for
-/// type-erased job specs (RunJob's comparator pipeline).
-template <typename K, typename V,
-          typename Less = std::function<bool(const K&, const K&)>>
-class MergeStream {
- public:
-  MergeStream(const std::vector<const SortedSegment*>& segments,
-              Less sort_less)
-      : sort_less_(std::move(sort_less)) {
-    readers_.reserve(segments.size());
-    for (const SortedSegment* seg : segments) {
-      readers_.push_back(
-          std::make_unique<internal::SegmentReader<K, V>>(seg));
-    }
-    // Prime every reader and build the initial heap of live readers.
-    for (std::size_t i = 0; i < readers_.size(); ++i) {
-      if (readers_[i]->Next()) {
-        heap_.push_back(i);
-      } else if (!readers_[i]->status().ok()) {
-        status_ = readers_[i]->status();
-      }
-    }
-    BuildHeap();
-  }
-
-  /// Loads the next record in global sorted order. False when exhausted or
-  /// after a decode error (check status()).
-  bool Advance() {
-    if (!status_.ok() || heap_.empty()) return false;
-    const std::size_t top = heap_.front();
-    key_ = readers_[top]->key();
-    value_ = readers_[top]->value();
-    // Refill the winning reader and restore the heap.
-    if (readers_[top]->Next()) {
-      SiftDown(0);
-    } else {
-      if (!readers_[top]->status().ok()) {
-        // The record copied above is still valid; surface the decode error
-        // on the *next* Advance so no shuffled record is silently dropped.
-        status_ = readers_[top]->status();
-        heap_.clear();
-        return true;
-      }
-      heap_.front() = heap_.back();
-      heap_.pop_back();
-      if (!heap_.empty()) SiftDown(0);
-    }
-    return true;
-  }
-
-  const K& key() const { return key_; }
-  const V& value() const { return value_; }
-  const Status& status() const { return status_; }
-
- private:
-  /// True when reader a's current record precedes reader b's.
-  bool ReaderLess(std::size_t a, std::size_t b) const {
-    const K& ka = readers_[a]->key();
-    const K& kb = readers_[b]->key();
-    if (sort_less_(ka, kb)) return true;
-    if (sort_less_(kb, ka)) return false;
-    return a < b;  // deterministic tie-break by map task index
-  }
-
-  void BuildHeap() {
-    if (heap_.empty()) return;
-    for (std::size_t i = heap_.size() / 2; i-- > 0;) SiftDown(i);
-  }
-
-  void SiftDown(std::size_t i) {
-    const std::size_t n = heap_.size();
-    for (;;) {
-      std::size_t smallest = i;
-      const std::size_t l = 2 * i + 1;
-      const std::size_t r = 2 * i + 2;
-      if (l < n && ReaderLess(heap_[l], heap_[smallest])) smallest = l;
-      if (r < n && ReaderLess(heap_[r], heap_[smallest])) smallest = r;
-      if (smallest == i) return;
-      std::swap(heap_[i], heap_[smallest]);
-      i = smallest;
-    }
-  }
-
-  Less sort_less_;
-  std::vector<std::unique_ptr<internal::SegmentReader<K, V>>> readers_;
-  std::vector<std::size_t> heap_;
-  K key_{};
-  V value_{};
-  Status status_;
-};
 
 /// \brief K-way merge over flat-arena segments. A tournament loser tree
 /// compares raw (bucket, order key, segment index) integer triples —
@@ -501,12 +318,14 @@ class FlatMergeStream {
   Status status_;
 };
 
-/// \brief GroupValues-shaped cursor over one flat reduce group (declared in
-/// job.h). Groups are delimited by bucket changes — by the traits contract
-/// that equals the job's grouping comparator. Next/key/value are direct
+/// \brief Cursor over the values of one reduce group (declared in job.h).
+/// Groups are delimited by bucket changes — by the traits contract that
+/// equals the job's grouping comparator. key() is the *full* composite key
+/// of the current value, exactly like Hadoop, where the key object seen
+/// inside reduce() changes as the value iterator advances (eSPQsco reads
+/// the map-computed score from there). Next/key/value are direct
 /// (non-virtual) calls and value() is a zero-copy View, which is what lets
-/// the reduce cores score straight out of the segment arena.
-/// Protocol mirrors the comparator pipeline's GroupCursor: the group's
+/// the reduce cores score straight out of the segment arena. The group's
 /// first record is already loaded in the stream at construction.
 template <typename K, typename V>
 class FlatGroupCursor {

@@ -72,65 +72,13 @@ class ReduceContextImpl : public ReduceContext<Out> {
   Counters counters_;
 };
 
-/// GroupValues over a MergeStream, bounded by the grouping comparator.
-/// The stream must have a record loaded (the group's first) at construction.
-template <typename K, typename V>
-class GroupCursor : public GroupValues<K, V> {
- public:
-  GroupCursor(MergeStream<K, V>* stream, const K* group_key,
-              const std::function<bool(const K&, const K&)>* group_equal)
-      : stream_(stream), group_key_(group_key), group_equal_(group_equal) {}
-
-  bool Next() override {
-    if (done_) return false;
-    if (first_pending_) {
-      // The group's first record is already loaded in the stream.
-      first_pending_ = false;
-      return true;
-    }
-    if (!stream_->Advance()) {
-      done_ = true;
-      next_group_loaded_ = false;
-      return false;
-    }
-    if (!(*group_equal_)(*group_key_, stream_->key())) {
-      // Crossed a group boundary; the next group's first record is loaded.
-      done_ = true;
-      next_group_loaded_ = true;
-      return false;
-    }
-    return true;
-  }
-
-  const K& key() const override { return stream_->key(); }
-  const V& value() const override { return stream_->value(); }
-
-  /// Drains any values the reducer did not consume (early termination) and
-  /// reports whether the stream stopped on the first record of the next
-  /// group (true) or at end-of-stream (false).
-  bool FinishGroup() {
-    while (Next()) {
-    }
-    return next_group_loaded_;
-  }
-
- private:
-  MergeStream<K, V>* stream_;
-  const K* group_key_;
-  const std::function<bool(const K&, const K&)>* group_equal_;
-  bool first_pending_ = true;
-  bool done_ = false;
-  bool next_group_loaded_ = false;
-};
-
-/// Sort-free map-output layout step of the cell-bucketed shuffle: group
-/// the partition's records by Traits::Bucket (a hash map — the paper's
-/// setup has only a handful of cells per reduce partition), emit buckets
-/// in ascending bucket id, and sort *within* each bucket on the 8-byte
-/// order key (plus emission index for stability) — a cheap integer sort
-/// that replaces the comparison stable_sort over decoded composite keys.
-/// Records are written straight into the flat-arena segment image; there
-/// is no Codec round trip.
+/// Map-output layout step of the shuffle: group the partition's records by
+/// Traits::Bucket (a hash map — the paper's setup has only a handful of
+/// cells per reduce partition), emit buckets in ascending bucket id, and
+/// sort *within* each bucket on the 8-byte order key (plus emission index
+/// for stability) — a cheap integer sort in place of a comparison sort
+/// over composite keys. Records are written straight into the flat-arena
+/// segment image.
 template <typename K, typename V>
 StatusOr<FlatSegment> BuildFlatSegment(
     const std::vector<std::pair<K, V>>& records) {
@@ -212,22 +160,21 @@ inline void RecordJobMetrics(const JobStats& stats) {
   total_ns.Record(static_cast<uint64_t>(stats.total_seconds * 1e9));
 }
 
-/// Shared job orchestration: runs the map phase (with fault retries and
-/// optional spilling), the shuffle accounting and the reduce phase (with
-/// fault retries) for either segment representation. `SpillPartition`
-/// turns one map partition's records into a StatusOr<Segment>;
-/// `ReducePartition` consumes one reduce partition's segments.
+/// The job driver: runs the map phase (with fault retries and optional
+/// spilling), the shuffle accounting and the reduce phase (with fault
+/// retries). Each map partition is laid out by BuildFlatSegment;
+/// `reduce_partition(segments, ctx)` consumes one reduce partition's
+/// segments and returns its Status.
 ///
-/// RunJob's flat and comparator pipelines below, and the store build job
-/// (spq/cell_store.cc), differ only in those two callables — keeping a
-/// single driver guarantees they share fault injection, retry, stats and
-/// cleanup semantics exactly (the equivalence tests rely on it).
-template <typename Segment, typename In, typename K, typename V,
-          typename Out, typename SpillPartitionFn, typename ReducePartitionFn>
+/// RunJob below and the store build job (spq/cell_store.cc) differ only
+/// in that callable — keeping a single driver guarantees they share fault
+/// injection, retry, stats and cleanup semantics exactly (the equivalence
+/// tests rely on it).
+template <typename In, typename K, typename V, typename Out,
+          typename ReducePartitionFn>
 StatusOr<JobOutput<Out>> RunJobWith(const JobSpec<In, K, V, Out>& spec,
                                     const JobConfig& config,
                                     const std::vector<In>& input,
-                                    SpillPartitionFn&& spill_partition,
                                     ReducePartitionFn&& reduce_partition) {
   JobOutput<Out> result;
   JobStats& stats = result.stats;
@@ -243,7 +190,7 @@ StatusOr<JobOutput<Out>> RunJobWith(const JobSpec<In, K, V, Out>& spec,
 
   // ---------------------------------------------------------------- map --
   // segments[m][r]: the sorted run map task m produced for reduce r.
-  std::vector<std::vector<Segment>> segments(num_maps);
+  std::vector<std::vector<FlatSegment>> segments(num_maps);
   std::vector<Counters> map_counters(num_maps);
   std::atomic<uint64_t> map_output_records{0};
   std::atomic<uint32_t> map_failures{0};
@@ -290,7 +237,7 @@ StatusOr<JobOutput<Out>> RunJobWith(const JobSpec<In, K, V, Out>& spec,
       // number, so a spill write that fails its verify-after-write costs
       // the attempt and the retry re-rolls with fresh fault sites.
       auto& parts = ctx.partitions();
-      std::vector<Segment> task_segments(num_reduces);
+      std::vector<FlatSegment> task_segments(num_reduces);
       Status spill_status;
       {
         ScopedStorageFaults storage_scope(
@@ -299,12 +246,12 @@ StatusOr<JobOutput<Out>> RunJobWith(const JobSpec<In, K, V, Out>& spec,
                   (static_cast<uint64_t>(m) << 8) ^
                   static_cast<uint64_t>(attempt)));
         for (uint32_t r = 0; r < num_reduces; ++r) {
-          StatusOr<Segment> seg_or = spill_partition(parts[r]);
+          StatusOr<FlatSegment> seg_or = BuildFlatSegment<K, V>(parts[r]);
           if (!seg_or.ok()) {
             spill_status = seg_or.status();
             break;
           }
-          Segment& seg = task_segments[r];
+          FlatSegment& seg = task_segments[r];
           seg = *std::move(seg_or);
           if (!config.spill_dir.empty() && seg.num_records > 0) {
             seg.spill_path = SpillPath(config.spill_dir, spill_run_id,
@@ -319,7 +266,7 @@ StatusOr<JobOutput<Out>> RunJobWith(const JobSpec<In, K, V, Out>& spec,
       if (!spill_status.ok()) {
         // The attempt's files, including the one that failed its verify,
         // never reach SpillCleanup below: remove them here.
-        for (const Segment& seg : task_segments) {
+        for (const FlatSegment& seg : task_segments) {
           if (!seg.spill_path.empty()) RemoveSpillFile(seg.spill_path);
         }
         if (config.faults.storage_enabled() && spill_status.IsIOError()) {
@@ -351,7 +298,7 @@ StatusOr<JobOutput<Out>> RunJobWith(const JobSpec<In, K, V, Out>& spec,
 
   // Spill files live until the job completes (reduce retries re-read them).
   struct SpillCleanup {
-    std::vector<std::vector<Segment>>* segments;
+    std::vector<std::vector<FlatSegment>>* segments;
     ~SpillCleanup() {
       for (auto& task_segments : *segments) {
         for (auto& seg : task_segments) {
@@ -370,13 +317,13 @@ StatusOr<JobOutput<Out>> RunJobWith(const JobSpec<In, K, V, Out>& spec,
   // ------------------------------------------------------------- shuffle --
   // Reduce partition r reads segments[m][r] for every m. Bytes are counted
   // as shuffle traffic; in Hadoop these cross the network.
-  std::vector<std::vector<const Segment*>> reduce_inputs(num_reduces);
+  std::vector<std::vector<const FlatSegment*>> reduce_inputs(num_reduces);
   stats.reduce_input_records.assign(num_reduces, 0);
   {
     TRACE_SPAN("job.shuffle");
     for (uint32_t r = 0; r < num_reduces; ++r) {
       for (uint32_t m = 0; m < num_maps; ++m) {
-        const Segment& seg = segments[m][r];
+        const FlatSegment& seg = segments[m][r];
         if (seg.num_records == 0) continue;
         reduce_inputs[r].push_back(&seg);
         stats.shuffle_bytes += seg.byte_size;
@@ -474,22 +421,17 @@ StatusOr<JobOutput<Out>> RunJobWith(const JobSpec<In, K, V, Out>& spec,
 ///  1. The input is split into `num_map_tasks` contiguous splits.
 ///  2. Map tasks run on `num_workers` threads. Each task partitions its
 ///     emissions with the job's Partitioner and lays each partition out as
-///     a sorted segment.
+///     a FlatSegment: records grouped by Traits::Bucket and each bucket
+///     sorted on the integer order key — no comparison sort, no Codec.
 ///  3. Shuffle: each reduce partition collects its segment from every map
 ///     task; segment bytes are the job's shuffle traffic.
-///  4. Reduce tasks k-way-merge their segments lazily and invoke the
-///     reducer once per group, with Hadoop secondary-sort semantics;
-///     reducers may stop consuming a group early.
+///  4. Reduce tasks merge their segments lazily through FlatMergeStream's
+///     loser tree and invoke flat_reducer_factory's callable once per
+///     group (one bucket) with zero-copy record views, with Hadoop
+///     secondary-sort semantics; reducers may stop consuming a group early.
 ///
-/// The key type picks the pipeline at compile time. A (K, V) with a
-/// FlatShuffleTraits specialization (every SPQ job) runs the flat-arena
-/// shuffle: the map side groups records by Traits::Bucket and sorts each
-/// bucket on the integer order key, with no comparison sort and no Codec;
-/// the reduce side merges integer keys through FlatMergeStream's loser
-/// tree and hands flat_reducer_factory's callable zero-copy record views.
-/// Any other key type runs the comparator pipeline: a stable_sort under
-/// sort_less, Codec serialization, a MergeStream and groups delimited by
-/// group_equal.
+/// (K, V) must specialize FlatShuffleTraits (merge.h), which carries the
+/// job's sort and grouping comparators.
 ///
 /// Task attempts can fail via `config.faults`; failed attempts are retried
 /// up to `config.max_task_attempts` times with their partial output,
@@ -499,79 +441,32 @@ template <typename In, typename K, typename V, typename Out>
 StatusOr<JobOutput<Out>> RunJob(const JobSpec<In, K, V, Out>& spec,
                                 const JobConfig& config,
                                 const std::vector<In>& input) {
+  static_assert(FlatShuffleTraits<K, V>::kEnabled,
+                "RunJob needs a FlatShuffleTraits<K, V> specialization");
   if (config.num_map_tasks == 0 || config.num_reduce_tasks == 0) {
     return Status::InvalidArgument("task counts must be >= 1");
   }
-
-  if constexpr (FlatShuffleTraits<K, V>::kEnabled) {
-    if (!spec.mapper_factory || !spec.partitioner ||
-        !spec.flat_reducer_factory) {
-      return Status::InvalidArgument(
-          "incomplete JobSpec: a flat-shuffle job needs mapper_factory, "
-          "partitioner and flat_reducer_factory");
-    }
-    auto spill_partition = [](const std::vector<std::pair<K, V>>& records) {
-      return internal::BuildFlatSegment<K, V>(records);
-    };
-    auto reduce_partition =
-        [&spec](const std::vector<const FlatSegment*>& segments,
-                ReduceContext<Out>& ctx) {
-          FlatMergeStream<K, V> stream(segments);
-          auto reduce_group = spec.flat_reducer_factory();
-          bool has = stream.Advance();
-          while (has) {
-            const K group_key = stream.key();
-            FlatGroupCursor<K, V> cursor(&stream, stream.bucket());
-            reduce_group(group_key, cursor, ctx);
-            has = cursor.FinishGroup();
-          }
-          return stream.status();
-        };
-    return internal::RunJobWith<FlatSegment>(spec, config, input,
-                                             spill_partition,
-                                             reduce_partition);
-  } else {
-    if (!spec.mapper_factory || !spec.reducer_factory || !spec.partitioner ||
-        !spec.sort_less || !spec.group_equal) {
-      return Status::InvalidArgument("incomplete JobSpec");
-    }
-    auto spill_partition = [&spec](std::vector<std::pair<K, V>>& records)
-        -> StatusOr<SortedSegment> {
-      std::stable_sort(records.begin(), records.end(),
-                       [&](const std::pair<K, V>& a,
-                           const std::pair<K, V>& b) {
-                         return spec.sort_less(a.first, b.first);
-                       });
-      Buffer buf;
-      for (const auto& [key, value] : records) {
-        Codec<K>::Encode(key, buf);
-        Codec<V>::Encode(value, buf);
-      }
-      SortedSegment seg;
-      seg.num_records = records.size();
-      seg.bytes = buf.TakeBytes();
-      seg.byte_size = seg.bytes.size();
-      return seg;
-    };
-    auto reduce_partition =
-        [&spec](const std::vector<const SortedSegment*>& segments,
-                ReduceContext<Out>& ctx) {
-          auto reducer = spec.reducer_factory();
-          MergeStream<K, V> stream(segments, spec.sort_less);
-          bool has = stream.Advance();
-          while (has) {
-            const K group_key = stream.key();
-            internal::GroupCursor<K, V> cursor(&stream, &group_key,
-                                               &spec.group_equal);
-            reducer->Reduce(group_key, cursor, ctx);
-            has = cursor.FinishGroup();
-          }
-          return stream.status();
-        };
-    return internal::RunJobWith<SortedSegment>(spec, config, input,
-                                               spill_partition,
-                                               reduce_partition);
+  if (!spec.mapper_factory || !spec.partitioner ||
+      !spec.flat_reducer_factory) {
+    return Status::InvalidArgument(
+        "incomplete JobSpec: a job needs mapper_factory, partitioner and "
+        "flat_reducer_factory");
   }
+  auto reduce_partition =
+      [&spec](const std::vector<const FlatSegment*>& segments,
+              ReduceContext<Out>& ctx) {
+        FlatMergeStream<K, V> stream(segments);
+        auto reduce_group = spec.flat_reducer_factory();
+        bool has = stream.Advance();
+        while (has) {
+          const K group_key = stream.key();
+          FlatGroupCursor<K, V> cursor(&stream, stream.bucket());
+          reduce_group(group_key, cursor, ctx);
+          has = cursor.FinishGroup();
+        }
+        return stream.status();
+      };
+  return internal::RunJobWith(spec, config, input, reduce_partition);
 }
 
 }  // namespace spq::mapreduce

@@ -239,14 +239,6 @@ void SpillRegionReader::Open(std::string path, uint64_t offset,
   cached_page_ = kNoPage;
 }
 
-void SpillRegionReader::Compact() {
-  if (pos_ > 0) {
-    std::memmove(buf_.data(), buf_.data() + pos_, len_ - pos_);
-    len_ -= pos_;
-    pos_ = 0;
-  }
-}
-
 Status SpillRegionReader::EnsureFraming(std::ifstream& in) {
   if (framing_loaded_) return Status::OK();
   in.seekg(0, std::ios::end);
@@ -316,14 +308,20 @@ Status SpillRegionReader::LoadPage(std::ifstream& in, uint64_t page,
   return Status::OK();
 }
 
-Status SpillRegionReader::FillTo(std::size_t min_len) {
+Status SpillRegionReader::Refill(std::size_t need) {
+  // Move the unfetched tail to the buffer front, then size the buffer for
+  // this fetch (an oversized fetch grows it; the next refill shrinks it).
+  if (pos_ > 0) {
+    std::memmove(buf_.data(), buf_.data() + pos_, len_ - pos_);
+    len_ -= pos_;
+    pos_ = 0;
+  }
+  buf_.resize(std::max(need, capacity_));
   // Transient handle: opened for this refill only (see class comment).
   std::ifstream in(path_, std::ios::binary);
   if (!in) return Status::IOError("cannot open spill file: " + path_);
   SPQ_RETURN_NOT_OK(EnsureFraming(in));
-  while (len_ < min_len && file_remaining_ > 0) {
-    const std::size_t space = buf_.size() - len_;
-    if (space == 0) break;
+  while (len_ < need && file_remaining_ > 0) {
     if (next_read_offset_ >= body_len_) {
       // The region claims more bytes than the framed body holds.
       return Status::OutOfRange("spill region truncated on disk");
@@ -337,23 +335,16 @@ Status SpillRegionReader::FillTo(std::size_t min_len) {
         static_cast<std::size_t>(next_read_offset_ - page_start);
     const std::size_t take = static_cast<std::size_t>(std::min<uint64_t>(
         {static_cast<uint64_t>(page_len - off_in_page),
-         static_cast<uint64_t>(space), file_remaining_}));
+         static_cast<uint64_t>(buf_.size() - len_), file_remaining_}));
     std::memcpy(buf_.data() + len_, scratch_.data() + off_in_page, take);
     len_ += take;
     file_remaining_ -= take;
     next_read_offset_ += take;
   }
-  if (len_ < min_len) {
+  if (len_ < need) {
     return Status::OutOfRange("spill region exhausted mid-record");
   }
   return Status::OK();
-}
-
-Status SpillRegionReader::Refill(std::size_t need) {
-  Compact();
-  const std::size_t want = std::max(need, capacity_);
-  if (buf_.size() != want) buf_.resize(want);
-  return FillTo(need);
 }
 
 Status SpillRegionReader::Fetch(std::size_t n, const uint8_t** out) {
@@ -367,26 +358,6 @@ Status SpillRegionReader::Fetch(std::size_t n, const uint8_t** out) {
   pos_ += n;
   region_remaining_ -= n;
   return Status::OK();
-}
-
-void SpillRegionReader::Consume(std::size_t n) {
-  pos_ += n;
-  region_remaining_ -= n;
-}
-
-Status SpillRegionReader::FetchMore() {
-  if (file_remaining_ == 0) {
-    return Status::OutOfRange("spill region exhausted");
-  }
-  Compact();
-  if (len_ == buf_.size()) {
-    // The unconsumed window fills the buffer: one record is larger than
-    // it, so grow geometrically (shrunk back by the next Refill cycle).
-    buf_.resize(std::max(buf_.size() * 2, capacity_));
-  } else if (buf_.size() < capacity_) {
-    buf_.resize(capacity_);
-  }
-  return FillTo(len_ + 1);
 }
 
 }  // namespace spq::mapreduce

@@ -75,28 +75,16 @@ uint64_t NextSpillRunId();
 
 /// \brief Sequential reader over one byte region of a spill file through a
 /// fixed-size buffer, so reduce tasks never hold whole segments in memory.
-/// The one windowed-streaming primitive of the runtime: both the flat
-/// segment cursors and the comparator pipeline's varint SegmentReader
-/// (merge.h) sit on it, so there is a single compact/refill/grow
-/// implementation.
+/// The one windowed-streaming primitive of the runtime: a spilled
+/// FlatSegment streams through three of them (key rows, payloads, pool;
+/// merge.h).
 ///
-/// Two access protocols share the buffer machinery:
-///
-///  - Fetch-at-least-N: Fetch(n) returns a pointer to the region's next n
-///    contiguous bytes, refilling from disk as needed; the pointer stays
-///    valid until the next Fetch/FetchMore. For fixed-stride readers that
-///    know each record's size up front.
-///  - Peek-available: peek_data()/peek_len() expose the buffered,
-///    unconsumed window; Consume(n) retires a decoded prefix and
-///    FetchMore() widens the window by at least one byte (growing the
-///    buffer geometrically when a single record exceeds it). For decoders
-///    that only discover a record's size by attempting to parse it.
-///
-/// The buffer grows beyond `buffer_capacity` only when a single record
-/// needs it (one oversized Fetch, or repeated FetchMore without Consume),
-/// and shrinks back on the next refill cycle. As long as every Fetch size
-/// is a multiple of A and the region offset is A-aligned, Fetch pointers
-/// are A-aligned (refills compact to the buffer front).
+/// Fetch(n) returns a pointer to the region's next n contiguous bytes,
+/// refilling from disk as needed; the pointer stays valid until the next
+/// Fetch. The buffer grows beyond `buffer_capacity` only when a single
+/// Fetch needs it, and shrinks back on the next refill. As long as every
+/// Fetch size is a multiple of A and the region offset is A-aligned, Fetch
+/// pointers are A-aligned (refills compact to the buffer front).
 ///
 /// The file is opened transiently per refill (open, seek, read one
 /// buffer, close), never held across Fetches: a reduce task merging M
@@ -119,37 +107,20 @@ class SpillRegionReader {
   void Open(std::string path, uint64_t offset, uint64_t length,
             std::size_t buffer_capacity = kDefaultBufferBytes);
 
-  /// Next `n` bytes of the region; valid until the next Fetch/FetchMore.
+  /// Next `n` bytes of the region; valid until the next Fetch.
   Status Fetch(std::size_t n, const uint8_t** out);
 
-  /// The buffered, unconsumed window (peek-available protocol). Pointers
-  /// are valid until the next Fetch/FetchMore.
-  const uint8_t* peek_data() const { return buf_.data() + pos_; }
-  std::size_t peek_len() const { return len_ - pos_; }
-
-  /// Retires `n` peeked bytes (n <= peek_len()).
-  void Consume(std::size_t n);
-
-  /// Widens the peek window by at least one byte, reading more of the
-  /// region from disk (doubling the buffer when the window already fills
-  /// it). OutOfRange once the region is fully buffered or consumed —
-  /// callers holding a half-decoded record then know the region is
-  /// truncated.
-  Status FetchMore();
-
-  /// Bytes of the region not yet returned by Fetch/Consume.
+  /// Bytes of the region not yet returned by Fetch.
   uint64_t remaining() const { return region_remaining_; }
 
  private:
   static constexpr uint64_t kNoPage = ~0ull;
 
-  /// Moves the unconsumed tail to the buffer front.
-  void Compact();
-  /// Reads from disk until len_ >= min_len, opportunistically filling the
-  /// whole buffer (one transient open/seek per call). Every byte served is
-  /// copied out of a CRC-verified page; a region reaching past the framed
-  /// body length is truncated (OutOfRange).
-  Status FillTo(std::size_t min_len);
+  /// Compacts the buffer and reads from disk until it holds `need`
+  /// unfetched bytes, taking whole page remainders that fit (one transient
+  /// open per call). Every byte served is copied out of a CRC-verified
+  /// page; a region reaching past the framed body length is truncated
+  /// (OutOfRange).
   Status Refill(std::size_t need);
   /// Lazily parses + verifies the file's framing trailer and CRC table.
   Status EnsureFraming(std::ifstream& in);
@@ -163,7 +134,7 @@ class SpillRegionReader {
   uint64_t next_read_offset_ = 0;  ///< body offset of the next refill
   std::vector<uint8_t> buf_;
   std::size_t capacity_ = 0;
-  std::size_t pos_ = 0;            ///< consumed bytes within buf_
+  std::size_t pos_ = 0;            ///< fetched bytes within buf_
   std::size_t len_ = 0;            ///< valid bytes within buf_
   uint64_t file_remaining_ = 0;    ///< region bytes not yet read from disk
   uint64_t region_remaining_ = 0;  ///< region bytes not yet fetched

@@ -111,13 +111,9 @@ StatusOr<std::unique_ptr<CellStore>> CellStore::Build(
   };
   spec.partitioner = CellPartitioner;
 
-  // The build always runs the flat-arena pipeline: the per-cell resident
-  // partitions reuse the FlatSegment byte layout verbatim, so assembling
-  // them from flat shuffle segments is a straight re-bucketing.
-  auto spill_partition =
-      [](const std::vector<std::pair<CellKey, ShuffleObject>>& records) {
-        return mr::internal::BuildFlatSegment<CellKey, ShuffleObject>(records);
-      };
+  // The per-cell resident partitions reuse the FlatSegment byte layout
+  // verbatim, so assembling them from the shuffle's segments is a straight
+  // re-bucketing.
   CellStore* store_ptr = store.get();
   auto reduce_partition =
       [store_ptr](const std::vector<const mr::FlatSegment*>& segments,
@@ -150,8 +146,7 @@ StatusOr<std::unique_ptr<CellStore>> CellStore::Build(
 
   SPQ_ASSIGN_OR_RETURN(
       auto output,
-      (mr::internal::RunJobWith<mr::FlatSegment>(
-          spec, config, input, spill_partition, reduce_partition)));
+      mr::internal::RunJobWith(spec, config, input, reduce_partition));
   store->build_stats_ = std::move(output.stats);
   store->data_objects_ =
       store->build_stats_.counters.Get(counter::kDataObjects);
@@ -1095,6 +1090,14 @@ bool TrySignatureSkip(const CellStore& store, Algorithm algo,
   return true;
 }
 
+/// Composite key of a warm batch emission: the single-query CellKey plus
+/// the query's index in its batch. A group is one (cell, query).
+struct BatchCellKey {
+  geo::CellId cell = 0;
+  uint32_t query = 0;
+  double order = 0.0;
+};
+
 /// One map emission of the warm route: its key and the index of the
 /// feature that produced it, which stands for the value (the reduce cores
 /// read the feature record itself).
@@ -1104,9 +1107,7 @@ struct WarmEmission {
   uint32_t feature;
 };
 
-/// The key of a warm emission for the query at `query` in its batch: the
-/// single-query key carries no query index, the batched key carries
-/// query + 1 (index 0 is the cold batched job's data sentinel).
+/// The key of a warm emission for the query at `query` in its batch.
 template <typename K>
 K WarmKey(geo::CellId cell, uint32_t query, double order);
 template <>
@@ -1116,7 +1117,7 @@ CellKey WarmKey<CellKey>(geo::CellId cell, uint32_t /*query*/, double order) {
 template <>
 BatchCellKey WarmKey<BatchCellKey>(geo::CellId cell, uint32_t query,
                                    double order) {
-  return BatchCellKey{cell, query + 1, order};
+  return BatchCellKey{cell, query, order};
 }
 
 /// The query a group belongs to inside its cell: the single-query key has
@@ -1124,11 +1125,11 @@ BatchCellKey WarmKey<BatchCellKey>(geo::CellId cell, uint32_t query,
 uint32_t QueryOf(const CellKey& /*key*/) { return 0; }
 uint32_t QueryOf(const BatchCellKey& key) { return key.query; }
 
-/// The order the MapReduce merge delivered a cell's records in: by query,
-/// then by the secondary `order`, ties in feature-input order (map splits
-/// are contiguous input ranges and the merge broke ties by split). A
-/// feature reaches a (cell, query) group at most once, so this is a strict
-/// total order and std::sort reproduces the merge exactly.
+/// The order the cold single-query job's merge delivers a cell's features
+/// in, per query: by the secondary `order`, ties in feature-input order
+/// (map splits are contiguous input ranges and the merge breaks ties by
+/// split). A feature reaches a (cell, query) group at most once, so this is
+/// a strict total order and std::sort reproduces the merge exactly.
 template <typename K>
 bool MergeOrderLess(const WarmEmission<K>& a, const WarmEmission<K>& b) {
   return std::tuple(QueryOf(a.key), a.key.order, a.feature) <
@@ -1399,8 +1400,7 @@ StatusOr<mr::JobOutput<BatchResultEntry>> RunWarmBatch(
                          mr::Counters& counters,
                          reduce_core::QueryScratch& scratch,
                          std::vector<BatchResultEntry>& out) -> Status {
-    // The warm map emits query q under key.query = q + 1 (WarmKey).
-    const uint32_t q = key.query - 1;
+    const uint32_t q = key.query;
     if (TrySignatureSkip(store, algo, queries[q], query_sigs[q], key.cell,
                          cursor, counters)) {
       return Status::OK();
@@ -1416,9 +1416,8 @@ StatusOr<mr::JobOutput<BatchResultEntry>> RunWarmBatch(
                            });
     return Status::OK();
   };
-  // No data-only accounting: the cold batched reducer's sentinel groups
-  // never reach a reduce core, so feature-less cells count no group there
-  // either.
+  // No data-only accounting: a batch counts one group per (cell, query)
+  // that a kept feature reaches, and no group for cells only data reach.
   return RunWarmRoute<BatchCellKey, BatchResultEntry>(
       store, algo, queries, keyword_prefilter, features, postings, pool,
       std::nullopt, serve_group);

@@ -17,7 +17,6 @@
 #include "mapreduce/merge.h"
 #include "mapreduce/runtime.h"
 #include "spq/algorithms.h"
-#include "spq/batch.h"
 #include "spq/reduce_core.h"
 #include "spq/shuffle_types.h"
 #include "spq/types.h"
@@ -502,6 +501,13 @@ StatusOr<mapreduce::JobOutput<ResultEntry>> RunWarmQuery(
     const Query& query, bool keyword_prefilter,
     const std::vector<ShuffleObject>& features,
     const index::InvertedIndex& postings, ThreadPool& pool);
+
+/// One output row of RunWarmBatch: which query of the batch the entry
+/// belongs to.
+struct BatchResultEntry {
+  uint32_t query = 0;
+  ResultEntry entry;
+};
 
 /// Batched twin of RunWarmQuery: each map split runs the postings walk and
 /// visit once per batch query, and every (cell, query) group joins against

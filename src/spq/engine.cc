@@ -13,7 +13,6 @@
 #include "geo/grid.h"
 #include "mapreduce/runtime.h"
 #include "spq/balanced_partitioner.h"
-#include "spq/batch.h"
 #include "spq/cell_store.h"
 #include "spq/duplication.h"
 #include "spq/topk.h"
@@ -114,6 +113,22 @@ SpqResult MakeSpqResult(const core::Query& query, Algorithm algo,
   info.signature_checks = counters.Get(counter::kSignatureChecks);
   info.job = std::move(output.stats);
   return result;
+}
+
+/// Folds one cold job's stats into those of a fallback batch, which runs
+/// one job per query: counters merged, scalar stats summed. The per-task
+/// vectors stay empty, since no one job's task list describes the batch.
+void AddJobStats(const mapreduce::JobStats& job, mapreduce::JobStats& total) {
+  total.map_seconds += job.map_seconds;
+  total.reduce_seconds += job.reduce_seconds;
+  total.total_seconds += job.total_seconds;
+  total.input_records += job.input_records;
+  total.map_output_records += job.map_output_records;
+  total.shuffle_bytes += job.shuffle_bytes;
+  total.map_task_failures += job.map_task_failures;
+  total.reduce_task_failures += job.reduce_task_failures;
+  total.storage_fault_detections += job.storage_fault_detections;
+  total.counters.MergeFrom(job.counters);
 }
 
 /// Routes each output row to its query and merges the per-cell lists.
@@ -233,37 +248,6 @@ StatusOr<SpqResult> SpqEngine::Execute(const core::Query& query,
 
   // --- centralized merge of per-cell top-k lists (cheap: <= k * cells) ---
   return MakeSpqResult(query, algo, grid_size, std::move(output));
-}
-
-StatusOr<SpqBatchResult> SpqEngine::ExecuteBatch(
-    const std::vector<core::Query>& queries, Algorithm algo,
-    uint32_t grid_size_override) const {
-  if (queries.empty()) {
-    return Status::InvalidArgument("empty query batch");
-  }
-  double max_radius = 0.0;
-  for (const core::Query& query : queries) {
-    SPQ_RETURN_NOT_OK(ValidateQuery(query));
-    max_radius = std::max(max_radius, query.radius);
-  }
-
-  uint32_t grid_size =
-      grid_size_override > 0 ? grid_size_override : options_.grid_size;
-  if (grid_size == 0) {
-    grid_size = AdviseGridSize(max_radius, dataset_.bounds.width(),
-                               /*max_per_side=*/128);
-  }
-  SPQ_ASSIGN_OR_RETURN(
-      geo::UniformGrid grid,
-      geo::UniformGrid::Make(dataset_.bounds, grid_size, grid_size));
-
-  const mapreduce::JobConfig config =
-      MakeClusterConfig(grid.num_cells(), AlgorithmName(algo) + "-batch");
-
-  auto spec =
-      MakeBatchSpqJobSpec(algo, queries, grid, options_.keyword_prefilter);
-  SPQ_ASSIGN_OR_RETURN(auto output, mapreduce::RunJob(spec, config, input_));
-  return MakeBatchResult(queries, std::move(output));
 }
 
 Status SpqEngine::BuildStore(double max_radius, uint32_t grid_size_override) {
@@ -494,13 +478,17 @@ StatusOr<SpqBatchResult> SpqEngine::QueryBatch(
                    << suppressed << " similar warnings suppressed; every "
                    << "occurrence counts in spq.query.cold_fallbacks)";
     }
-    // As in Query(): let the cold path size its own grid for this radius.
-    auto result = ExecuteBatch(queries, algo);
-    if (result.ok()) {
-      result->cold_fallback = true;
-      MaybeLogSlowQuery(options_, "cold-fallback batch", algo,
-                        watch.ElapsedMillis(), result->job);
+    // One cold job per query; as in Query(), each sizes its own grid.
+    SpqBatchResult result;
+    result.per_query.reserve(queries.size());
+    for (const core::Query& query : queries) {
+      SPQ_ASSIGN_OR_RETURN(SpqResult single, Execute(query, algo));
+      result.per_query.push_back(std::move(single.entries));
+      AddJobStats(single.info.job, result.job);
     }
+    result.cold_fallback = true;
+    MaybeLogSlowQuery(options_, "cold-fallback batch", algo,
+                      watch.ElapsedMillis(), result.job);
     return result;
   }
 

@@ -42,17 +42,21 @@ enum class PartitionerKind {
 };
 
 /// \brief Knobs of the admission/batching front door (spq/serving.h).
-/// Concurrent Query() callers are coalesced into shared QueryBatch jobs:
+/// Concurrent Query() callers are coalesced into shared QueryBatch calls:
 /// a batch closes when it reaches `max_batch` queries or when its oldest
 /// query has waited `max_wait_ms` — whichever comes first — so a lone
-/// caller pays at most the wait budget and a burst amortizes the per-job
-/// shuffle across the whole batch.
+/// caller pays at most the wait budget and a burst shares one feature-side
+/// map pass and one dispatch across the whole batch.
 struct ServingOptions {
-  /// Queries per coalesced batch before it closes (>= 1).
+  /// Queries per coalesced batch before it closes. The door clamps it to
+  /// [1, 4096]: it keeps one batch-size counter per size.
   uint32_t max_batch = 16;
   /// Latency budget: a non-full batch closes once its oldest admitted
   /// query has waited this long. 0 disables coalescing-by-time (a batch
-  /// closes as soon as an executor is free to take what is queued).
+  /// closes as soon as an executor is free to take what is queued). The
+  /// door clamps it to [0, 60000] ms (one minute), NaN counting as 0: the
+  /// deadline is an integer clock duration, which +inf or 1e300 ms would
+  /// overflow.
   double max_wait_ms = 2.0;
   /// Bounded admission queue: queries beyond this many waiting are
   /// rejected with Unavailable (counted in ServingStats::rejected).
@@ -67,7 +71,7 @@ struct ServingOptions {
 ///
 /// The MapReduce knobs — num_map_tasks, num_reduce_tasks, partitioner,
 /// faults, max_task_attempts and spill_dir — shape only the cold jobs
-/// (Execute/ExecuteBatch and the cold fallback) and the store build.
+/// (Execute and the cold fallback) and the store build.
 /// Warm Query()/QueryBatch() run no MapReduce job: they map the features
 /// their query terms' postings reach and group them in process on the
 /// engine's num_workers-thread pool (see RunWarmQuery in cell_store.h).
@@ -207,7 +211,9 @@ struct SpqResult {
 };
 
 /// \brief Result of a batched execution: per-query top-k lists (indexed
-/// like the input batch) plus the stats of the single shared job.
+/// like the input batch) plus the stats of the run that served them — the
+/// warm route's, or on a cold fallback the per-query jobs' (counters
+/// merged, scalar stats summed).
 struct SpqBatchResult {
   std::vector<std::vector<ResultEntry>> per_query;
   mapreduce::JobStats job;
@@ -220,9 +226,9 @@ struct SpqBatchResult {
 ///
 /// Two serving modes:
 ///
-///   Cold (single-shot, the paper's model): each Execute()/ExecuteBatch()
-///   builds the query-time grid and runs one full MapReduce job — the
-///   entire dataset is re-mapped and re-shuffled per call.
+///   Cold (single-shot, the paper's model): each Execute() builds the
+///   query-time grid and runs one full MapReduce job — the entire dataset
+///   is re-mapped and re-shuffled per call.
 ///
 ///   Warm (resident): BuildStore() runs the dataset-side map/shuffle ONCE
 ///   into a CellStore of per-cell flat-arena partitions (cell_store.h);
@@ -245,8 +251,8 @@ struct SpqBatchResult {
 /// builds the feature postings once; features never change after
 /// construction (Insert/Delete touch data objects only).
 ///
-/// Thread safety: every serving entry point — Execute, ExecuteBatch,
-/// Query, QueryBatch, CheckpointStore — is const and safe to call from
+/// Thread safety: every serving entry point — Execute, Query, QueryBatch,
+/// CheckpointStore — is const and safe to call from
 /// any number of threads concurrently. Warm queries carry no cross-query
 /// mutable state: per-query scratch lives in the reduce tasks
 /// (reduce_core::QueryScratch) and first-touch cell materialization is
@@ -282,16 +288,6 @@ class SpqEngine {
   StatusOr<SpqResult> Execute(const core::Query& query, Algorithm algo,
                               uint32_t grid_size_override = 0) const;
 
-  /// Extension: evaluates a whole batch of queries in ONE MapReduce job
-  /// (shared input scan; see batch.h). Queries may differ in k, radius
-  /// and keywords; results come back in batch order. The grid is shared,
-  /// so `grid_size`/`grid_size_override` applies to every query. The
-  /// batched job always routes by cell (PartitionerKind::kBalanced is a
-  /// single-query option and is ignored here).
-  StatusOr<SpqBatchResult> ExecuteBatch(
-      const std::vector<core::Query>& queries, Algorithm algo,
-      uint32_t grid_size_override = 0) const;
-
   /// Builds (or rebuilds) the resident CellStore for queries with radius
   /// <= `max_radius`: one dataset-side map/shuffle job whose result every
   /// subsequent Query()/QueryBatch() joins against. The store's grid is
@@ -311,9 +307,15 @@ class SpqEngine {
 
   /// Batched warm-path twin of Query(): one feature-side pass, every
   /// (cell, query) group joined against the cell's shared resident
-  /// partition and cached index. Falls back whole-batch if ANY radius
-  /// exceeds the store's build radius (same concurrency contract as
-  /// Query()'s fallback).
+  /// partition and cached index. Queries may differ in k, radius and
+  /// keywords; results come back in batch order.
+  ///
+  /// If ANY radius exceeds the store's build radius, the whole batch falls
+  /// back to the cold path: Execute() runs once per query (same
+  /// concurrency contract as Query()'s fallback). The result then has
+  /// cold_fallback set, its job counters are the queries' counters merged
+  /// and its scalar job stats their sums (the per-task vectors stay
+  /// empty), and spq.query.cold_fallbacks counts the call once.
   StatusOr<SpqBatchResult> QueryBatch(const std::vector<core::Query>& queries,
                                       Algorithm algo) const;
 

@@ -22,9 +22,9 @@ namespace spq::core::reduce_core {
 
 /// \brief The reduce-side cores of Algorithms 2, 4 and 6, templated on the
 /// group-values cursor so every pairing of key type (CellKey for the
-/// single-query job, BatchCellKey for the batched job) and record
-/// representation (zero-copy ShuffleObjectView on the cold flat-arena
-/// shuffle, borrowed ShuffleObject on the warm route) shares one
+/// single-query job, a (cell, query, order) key for the warm batch) and
+/// record representation (zero-copy ShuffleObjectView on the cold
+/// flat-arena shuffle, borrowed ShuffleObject on the warm route) shares one
 /// implementation. The cursor only needs Next()/key()/value(), a key with
 /// an `order` member, and a value satisfying the KeywordData/KeywordCount
 /// accessors — keyword scoring runs straight off the spans, so the flat
@@ -382,8 +382,7 @@ class CellGridIndex {
 ///  - OwnedCellRef: mutable cell + index, private to the calling task. Data
 ///    records streaming through the group accumulate via Add and the index
 ///    lazily Syncs against the grown positions before each probe. Used by
-///    the cold path (fresh locals per group, see RunReduceOwned) and the
-///    batched job's per-task replay cache.
+///    the cold path (fresh locals per group, see RunReduceOwned).
 ///  - FrozenCellRef: const cell + const FULLY BUILT index — an immutable
 ///    store partition that any number of concurrent queries may share.
 ///    Add is impossible by construction (warm streams carry only features;

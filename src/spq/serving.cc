@@ -38,11 +38,18 @@ struct DoorRegistryMetrics {
   }
 };
 
+/// Ceilings of the two batch-close knobs (documented on ServingOptions).
+/// batch_size_hist_ holds max_batch + 1 counters, and the batch-close
+/// deadline casts max_wait_ms to an integer clock duration.
+constexpr uint32_t kMaxBatchCeiling = 4096;
+constexpr double kMaxWaitMsCeiling = 60'000.0;
+
 /// Defensive normalization so the executor loop can assume sane knobs.
 ServingOptions Normalize(ServingOptions opts) {
-  if (opts.max_batch == 0) opts.max_batch = 1;
+  opts.max_batch = std::clamp<uint32_t>(opts.max_batch, 1, kMaxBatchCeiling);
   if (opts.num_executors == 0) opts.num_executors = 1;
   if (!(opts.max_wait_ms >= 0.0)) opts.max_wait_ms = 0.0;
+  opts.max_wait_ms = std::min(opts.max_wait_ms, kMaxWaitMsCeiling);
   return opts;
 }
 

@@ -47,13 +47,14 @@ struct ServingStats {
 /// \brief Admission/batching front door over a warm SpqEngine: concurrent
 /// Query() callers are coalesced into shared QueryBatch jobs.
 ///
-/// Why: one warm query pays a whole feature-side map/shuffle; a batch of
-/// B queries shares that scan (see batch.h), so under concurrent load the
-/// per-query cost drops toward the marginal reduce cost. The front door
-/// turns independent callers into batches without changing results: a
-/// coalesced query returns exactly the entries the same engine.Query()
-/// would have produced (batch equivalence is the store_equivalence /
-/// batch_equivalence test surface).
+/// Why: one warm query pays its own feature-side map pass and dispatch; a
+/// batch of B queries shares one pass over the feature splits and one
+/// dispatch on the engine's pool (RunWarmBatch in cell_store.h), so under
+/// concurrent load the per-query cost drops toward the marginal join cost.
+/// The front door turns independent callers into batches without changing
+/// results: a coalesced query returns exactly the entries the same
+/// engine.Query() would have produced (pinned by the serving and store
+/// equivalence tests).
 ///
 /// Mechanics (knobs in EngineOptions::serving):
 ///   - Submit() appends to a bounded admission queue and returns a future.

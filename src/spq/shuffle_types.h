@@ -171,9 +171,9 @@ inline std::size_t KeywordCount(const ShuffleObjectView& x) {
   return x.num_keywords;
 }
 
-/// Shared flat-arena payload codec for ShuffleObject values, used by both
-/// the single-query (CellKey) and batched (BatchCellKey) trait
-/// specializations. Payload layout (kShufflePayloadStride bytes):
+/// Flat-arena payload codec for ShuffleObject values, used by the
+/// FlatShuffleTraits<CellKey, ShuffleObject> specialization below. Payload
+/// layout (kShufflePayloadStride bytes):
 ///   [0..8)   id        u64
 ///   [8..16)  pos.x     f64
 ///   [16..24) pos.y     f64

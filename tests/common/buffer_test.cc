@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 namespace spq {
 namespace {
@@ -63,19 +64,35 @@ TEST(BufferTest, VarintIsCompactForSmallValues) {
   EXPECT_EQ(buf.size(), 2u);
 }
 
+/// A varint length followed by the raw bytes: how a store WAL record
+/// frames its payload (spq/wal.cc).
+void PutLengthPrefixed(Buffer& buf, const std::string& s) {
+  buf.PutVarint(s.size());
+  buf.PutBytes(s.data(), s.size());
+}
+
+Status GetLengthPrefixed(BufferReader& reader, std::string* out) {
+  uint64_t n;
+  SPQ_RETURN_NOT_OK(reader.GetVarint(&n));
+  if (n > reader.remaining()) return Status::OutOfRange("length past end");
+  out->resize(n);
+  return reader.GetBytes(out->data(), n);
+}
+
 TEST(BufferTest, StringRoundTrip) {
   Buffer buf;
-  buf.PutString("hello");
-  buf.PutString("");
-  buf.PutString(std::string("\0binary\xFF", 8));
+  PutLengthPrefixed(buf, "hello");
+  PutLengthPrefixed(buf, "");
+  PutLengthPrefixed(buf, std::string("\0binary\xFF", 8));
   BufferReader reader(buf.data(), buf.size());
   std::string a, b, c;
-  ASSERT_TRUE(reader.GetString(&a).ok());
-  ASSERT_TRUE(reader.GetString(&b).ok());
-  ASSERT_TRUE(reader.GetString(&c).ok());
+  ASSERT_TRUE(GetLengthPrefixed(reader, &a).ok());
+  ASSERT_TRUE(GetLengthPrefixed(reader, &b).ok());
+  ASSERT_TRUE(GetLengthPrefixed(reader, &c).ok());
   EXPECT_EQ(a, "hello");
   EXPECT_EQ(b, "");
   EXPECT_EQ(c, std::string("\0binary\xFF", 8));
+  EXPECT_TRUE(reader.exhausted());
 }
 
 TEST(BufferTest, TruncatedReadsReturnOutOfRange) {
@@ -90,8 +107,8 @@ TEST(BufferTest, TruncatedReadsReturnOutOfRange) {
   EXPECT_TRUE(empty.GetVarint(&u).IsOutOfRange());
   double d;
   EXPECT_TRUE(empty.GetDouble(&d).IsOutOfRange());
-  std::string s;
-  EXPECT_TRUE(empty.GetString(&s).IsOutOfRange());
+  uint8_t byte;
+  EXPECT_TRUE(empty.GetBytes(&byte, 1).IsOutOfRange());
 }
 
 TEST(BufferTest, TruncatedStringPayloadReturnsOutOfRange) {
@@ -100,7 +117,11 @@ TEST(BufferTest, TruncatedStringPayloadReturnsOutOfRange) {
   buf.PutBytes("abc", 3);
   BufferReader reader(buf.data(), buf.size());
   std::string s;
-  EXPECT_TRUE(reader.GetString(&s).IsOutOfRange());
+  EXPECT_TRUE(GetLengthPrefixed(reader, &s).IsOutOfRange());
+  // The raw read past the end fails the same way and consumes nothing.
+  uint8_t bytes[100];
+  EXPECT_TRUE(reader.GetBytes(bytes, 100).IsOutOfRange());
+  EXPECT_EQ(reader.remaining(), 3u);
 }
 
 TEST(BufferTest, AppendConcatenates) {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
 namespace spq::mapreduce {
@@ -22,27 +21,25 @@ T RoundTrip(const T& value) {
 TEST(CodecTest, Primitives) {
   EXPECT_EQ(RoundTrip<uint32_t>(0u), 0u);
   EXPECT_EQ(RoundTrip<uint32_t>(123456u), 123456u);
-  EXPECT_EQ(RoundTrip<uint64_t>(1ULL << 50), 1ULL << 50);
-  EXPECT_DOUBLE_EQ(RoundTrip<double>(-2.75), -2.75);
-  EXPECT_EQ(RoundTrip<std::string>("shuffle"), "shuffle");
+  EXPECT_EQ(RoundTrip<uint32_t>(0xffffffffu), 0xffffffffu);
 }
 
 TEST(CodecTest, Vectors) {
   std::vector<uint32_t> v{3, 1, 4, 1, 5};
   EXPECT_EQ(RoundTrip(v), v);
   EXPECT_EQ(RoundTrip(std::vector<uint32_t>{}), std::vector<uint32_t>{});
-  std::vector<std::string> s{"a", "", "bc"};
-  EXPECT_EQ(RoundTrip(s), s);
+  std::vector<std::vector<uint32_t>> nested{{7}, {}, {8, 9}};
+  EXPECT_EQ(RoundTrip(nested), nested);
 }
 
 TEST(CodecTest, DecodeFailsOnTruncation) {
   // Multi-byte varints, so dropping the last byte cuts an element short.
-  const std::vector<uint64_t> values{1ULL << 40, 1ULL << 41, 1ULL << 42};
+  const std::vector<uint32_t> values{1u << 28, 1u << 29, 1u << 30};
   Buffer buf;
-  Codec<std::vector<uint64_t>>::Encode(values, buf);
+  Codec<std::vector<uint32_t>>::Encode(values, buf);
   BufferReader reader(buf.data(), buf.size() - 1);
-  std::vector<uint64_t> out;
-  EXPECT_FALSE(Codec<std::vector<uint64_t>>::Decode(reader, &out).ok());
+  std::vector<uint32_t> out;
+  EXPECT_FALSE(Codec<std::vector<uint32_t>>::Decode(reader, &out).ok());
 }
 
 // A vector count larger than the bytes left is rejected as InvalidArgument

@@ -4,15 +4,16 @@
 #include <unistd.h>
 
 #include <filesystem>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "mapreduce/runtime.h"
+#include "testing/u64_shuffle.h"
 
 namespace spq::mapreduce {
 namespace {
+
+using testing::SumsByGroup;
 
 TEST(FaultSpecTest, DisabledByDefault) {
   FaultSpec spec;
@@ -55,50 +56,15 @@ TEST(FaultSpecTest, ProbabilityOneAlwaysFails) {
 
 // ------------------------------------------------ end-to-end with a job
 
-class IdentityMapper : public Mapper<uint64_t, uint32_t, uint64_t> {
- public:
-  void Map(const uint64_t& v, MapContext<uint32_t, uint64_t>& ctx) override {
-    ctx.Emit(static_cast<uint32_t>(v % 10), v);
-  }
-};
-
-struct GroupSum {
-  uint32_t group;
-  uint64_t sum;
-};
-
-class SumReducer : public Reducer<uint32_t, uint64_t, GroupSum> {
- public:
-  void Reduce(const uint32_t& group, GroupValues<uint32_t, uint64_t>& values,
-              ReduceContext<GroupSum>& ctx) override {
-    uint64_t sum = 0;
-    while (values.Next()) sum += values.value();
-    ctx.Emit({group, sum});
-  }
-};
-
-JobSpec<uint64_t, uint32_t, uint64_t, GroupSum> SumSpec() {
-  JobSpec<uint64_t, uint32_t, uint64_t, GroupSum> spec;
-  spec.mapper_factory = [] { return std::make_unique<IdentityMapper>(); };
-  spec.reducer_factory = [] { return std::make_unique<SumReducer>(); };
-  spec.partitioner = [](const uint32_t& k, uint32_t n) { return k % n; };
-  spec.sort_less = [](const uint32_t& a, const uint32_t& b) { return a < b; };
-  spec.group_equal = [](const uint32_t& a, const uint32_t& b) {
-    return a == b;
-  };
-  return spec;
+/// Sums of 0..999 by v % 10.
+JobSpec<uint64_t, uint64_t, uint64_t, testing::GroupSum> SumSpec() {
+  return testing::GroupSumSpec(10);
 }
 
 std::vector<uint64_t> TestInput() {
   std::vector<uint64_t> input;
   for (uint64_t i = 0; i < 1000; ++i) input.push_back(i);
   return input;
-}
-
-std::map<uint32_t, uint64_t> ToMap(const std::vector<GroupSum>& records) {
-  std::map<uint32_t, uint64_t> m;
-  for (const auto& r : records) m[r.group] = r.sum;
-  return m;
 }
 
 TEST(FaultInjectionTest, RetriedTasksProduceIdenticalResults) {
@@ -118,7 +84,7 @@ TEST(FaultInjectionTest, RetriedTasksProduceIdenticalResults) {
   auto result = RunJob(SumSpec(), faulty, input);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-  EXPECT_EQ(ToMap(result->records), ToMap(expected->records));
+  EXPECT_EQ(SumsByGroup(result->records), SumsByGroup(expected->records));
   // With p=0.5 over 12 tasks, some failures are certain for this seed.
   EXPECT_GT(result->stats.map_task_failures +
                 result->stats.reduce_task_failures,
@@ -176,7 +142,7 @@ TEST(FaultInjectionTest, StorageFaultsOnSpillPathConverge) {
   auto result = RunJob(SumSpec(), faulty, input);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-  EXPECT_EQ(ToMap(result->records), ToMap(expected->records));
+  EXPECT_EQ(SumsByGroup(result->records), SumsByGroup(expected->records));
   // p=0.3 per storage site over 24 spill files: detections are certain
   // for this seed, and every one cost an attempt, never a wrong record.
   EXPECT_GT(result->stats.storage_fault_detections, 0u);
@@ -204,7 +170,7 @@ TEST(FaultInjectionTest, TaskAndStorageFaultsTogetherConverge) {
   faulty.max_task_attempts = 60;
   auto result = RunJob(SumSpec(), faulty, input);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(ToMap(result->records), ToMap(expected->records));
+  EXPECT_EQ(SumsByGroup(result->records), SumsByGroup(expected->records));
   std::filesystem::remove_all(faulty.spill_dir);
 }
 

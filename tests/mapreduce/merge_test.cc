@@ -10,44 +10,48 @@
 #include "common/random.h"
 #include "mapreduce/runtime.h"
 #include "spq/shuffle_types.h"
+#include "testing/u64_shuffle.h"
 
 namespace spq::mapreduce {
 namespace {
 
-using Record = std::pair<uint32_t, uint64_t>;
+// ---------------------------------------------------------------------------
+// MergeStreamTest: the merge's contract on the generic u64 record of the
+// runtime tests (testing/u64_shuffle.h), where each key is one group.
+// ---------------------------------------------------------------------------
 
-SortedSegment MakeSegment(std::vector<Record> records) {
-  std::sort(records.begin(), records.end(),
-            [](const Record& a, const Record& b) { return a.first < b.first; });
-  Buffer buf;
-  for (const auto& [k, v] : records) {
-    Codec<uint32_t>::Encode(k, buf);
-    Codec<uint64_t>::Encode(v, buf);
+/// (group, value) of one record.
+using Record = std::pair<uint32_t, uint64_t>;
+using U64Merge = FlatMergeStream<uint64_t, uint64_t>;
+
+FlatSegment MakeSegment(const std::vector<Record>& records) {
+  std::vector<std::pair<uint64_t, uint64_t>> keyed;
+  for (const auto& [group, value] : records) {
+    keyed.emplace_back(testing::U64Key(group), value);
   }
-  SortedSegment seg;
-  seg.num_records = records.size();
-  seg.bytes = buf.TakeBytes();
-  return seg;
+  auto seg = internal::BuildFlatSegment<uint64_t, uint64_t>(keyed);
+  EXPECT_TRUE(seg.ok()) << seg.status().ToString();
+  return *std::move(seg);
 }
 
-std::vector<Record> Drain(MergeStream<uint32_t, uint64_t>& stream) {
+std::vector<Record> Drain(U64Merge& stream) {
   std::vector<Record> out;
-  while (stream.Advance()) out.emplace_back(stream.key(), stream.value());
+  while (stream.Advance()) {
+    out.emplace_back(testing::GroupOf(stream.key()), stream.value());
+  }
   return out;
 }
 
-auto KeyLess = [](const uint32_t& a, const uint32_t& b) { return a < b; };
-
 TEST(MergeStreamTest, EmptyInput) {
-  std::vector<const SortedSegment*> segments;
-  MergeStream<uint32_t, uint64_t> stream(segments, KeyLess);
+  std::vector<const FlatSegment*> segments;
+  U64Merge stream(segments);
   EXPECT_FALSE(stream.Advance());
   EXPECT_TRUE(stream.status().ok());
 }
 
 TEST(MergeStreamTest, SingleSegmentPreservesOrder) {
-  SortedSegment seg = MakeSegment({{3, 30}, {1, 10}, {2, 20}});
-  MergeStream<uint32_t, uint64_t> stream({&seg}, KeyLess);
+  FlatSegment seg = MakeSegment({{3, 30}, {1, 10}, {2, 20}});
+  U64Merge stream({&seg});
   auto out = Drain(stream);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0], Record(1, 10));
@@ -56,9 +60,9 @@ TEST(MergeStreamTest, SingleSegmentPreservesOrder) {
 }
 
 TEST(MergeStreamTest, MergesTwoSegments) {
-  SortedSegment a = MakeSegment({{1, 1}, {3, 3}, {5, 5}});
-  SortedSegment b = MakeSegment({{2, 2}, {4, 4}, {6, 6}});
-  MergeStream<uint32_t, uint64_t> stream({&a, &b}, KeyLess);
+  FlatSegment a = MakeSegment({{1, 1}, {3, 3}, {5, 5}});
+  FlatSegment b = MakeSegment({{2, 2}, {4, 4}, {6, 6}});
+  U64Merge stream({&a, &b});
   auto out = Drain(stream);
   ASSERT_EQ(out.size(), 6u);
   for (uint32_t i = 0; i < 6; ++i) {
@@ -67,9 +71,9 @@ TEST(MergeStreamTest, MergesTwoSegments) {
 }
 
 TEST(MergeStreamTest, EqualKeysBreakTiesBySegmentIndex) {
-  SortedSegment a = MakeSegment({{7, 100}});
-  SortedSegment b = MakeSegment({{7, 200}});
-  MergeStream<uint32_t, uint64_t> stream({&a, &b}, KeyLess);
+  FlatSegment a = MakeSegment({{7, 100}});
+  FlatSegment b = MakeSegment({{7, 200}});
+  U64Merge stream({&a, &b});
   auto out = Drain(stream);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].second, 100u);  // segment 0 first
@@ -78,7 +82,7 @@ TEST(MergeStreamTest, EqualKeysBreakTiesBySegmentIndex) {
 
 TEST(MergeStreamTest, ManySegmentsRandomized) {
   Rng rng(55);
-  std::vector<SortedSegment> segments;
+  std::vector<FlatSegment> segments;
   std::vector<Record> all;
   for (int s = 0; s < 13; ++s) {
     std::vector<Record> records;
@@ -88,11 +92,11 @@ TEST(MergeStreamTest, ManySegmentsRandomized) {
       records.push_back(r);
       all.push_back(r);
     }
-    segments.push_back(MakeSegment(std::move(records)));
+    segments.push_back(MakeSegment(records));
   }
-  std::vector<const SortedSegment*> ptrs;
+  std::vector<const FlatSegment*> ptrs;
   for (const auto& s : segments) ptrs.push_back(&s);
-  MergeStream<uint32_t, uint64_t> stream(ptrs, KeyLess);
+  U64Merge stream(ptrs);
   auto out = Drain(stream);
   ASSERT_EQ(out.size(), all.size());
   // Keys must be non-decreasing and form the same multiset.
@@ -109,21 +113,22 @@ TEST(MergeStreamTest, ManySegmentsRandomized) {
 }
 
 TEST(MergeStreamTest, CorruptSegmentSurfacesStatus) {
-  // Values use multi-byte varints so truncation hits the second record.
-  SortedSegment seg = MakeSegment({{1, 1ULL << 40}, {2, 1ULL << 41}});
-  seg.bytes.resize(seg.bytes.size() - 3);  // truncate mid-record
-  MergeStream<uint32_t, uint64_t> stream({&seg}, KeyLess);
+  FlatSegment seg = MakeSegment({{1, 1}, {2, 2}});
+  // Give the second record a pool slice the (empty) pool cannot hold.
+  const std::size_t second_payload = 2 * FlatSegment::kKeyRowBytes + 16;
+  wire::StoreU32(seg.bytes.data() + second_payload + 12, 4);
+  U64Merge stream({&seg});
   // First record decodes fine; the second fails.
   EXPECT_TRUE(stream.Advance());
-  EXPECT_EQ(stream.key(), 1u);
+  EXPECT_EQ(testing::GroupOf(stream.key()), 1u);
   EXPECT_FALSE(stream.Advance());
   EXPECT_FALSE(stream.status().ok());
 }
 
 TEST(MergeStreamTest, SegmentWithZeroRecords) {
-  SortedSegment empty = MakeSegment({});
-  SortedSegment one = MakeSegment({{4, 40}});
-  MergeStream<uint32_t, uint64_t> stream({&empty, &one}, KeyLess);
+  FlatSegment empty = MakeSegment({});
+  FlatSegment one = MakeSegment({{4, 40}});
+  U64Merge stream({&empty, &one});
   auto out = Drain(stream);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0], Record(4, 40));

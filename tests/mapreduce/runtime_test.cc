@@ -7,68 +7,58 @@
 #include <string>
 #include <vector>
 
+#include "testing/u64_shuffle.h"
+
 namespace spq::mapreduce {
 namespace {
 
+using testing::GroupOf;
+using testing::OrderOf;
+using testing::U64Cursor;
+using testing::U64Key;
+
 // ---------------------------------------------------------------- word count
+
+/// A line of text as word ids.
+using Line = std::vector<uint32_t>;
+
+/// Word ids of the sentences below.
+enum Word : uint32_t { kThe = 1, kQuick, kBrown, kFox, kLazy, kDog };
 
 /// Classic word count: proves the map -> shuffle -> sort -> group -> reduce
 /// pipeline end to end.
-class WordCountMapper : public Mapper<std::string, std::string, uint64_t> {
+class WordCountMapper : public Mapper<Line, uint64_t, uint64_t> {
  public:
-  void Map(const std::string& line,
-           MapContext<std::string, uint64_t>& ctx) override {
-    std::string word;
-    for (char c : line) {
-      if (c == ' ') {
-        if (!word.empty()) ctx.Emit(word, 1);
-        word.clear();
-      } else {
-        word.push_back(c);
-      }
-    }
-    if (!word.empty()) ctx.Emit(word, 1);
+  void Map(const Line& line, MapContext<uint64_t, uint64_t>& ctx) override {
+    for (uint32_t word : line) ctx.Emit(U64Key(word), 1);
   }
 };
 
 struct WordCount {
-  std::string word;
+  uint32_t word;
   uint64_t count;
 };
 
-class WordCountReducer
-    : public Reducer<std::string, uint64_t, WordCount> {
- public:
-  void Reduce(const std::string& word,
-              GroupValues<std::string, uint64_t>& values,
-              ReduceContext<WordCount>& ctx) override {
-    uint64_t total = 0;
-    while (values.Next()) total += values.value();
-    ctx.Emit({word, total});
-  }
-};
-
-JobSpec<std::string, std::string, uint64_t, WordCount> WordCountSpec() {
-  JobSpec<std::string, std::string, uint64_t, WordCount> spec;
+JobSpec<Line, uint64_t, uint64_t, WordCount> WordCountSpec() {
+  JobSpec<Line, uint64_t, uint64_t, WordCount> spec;
   spec.mapper_factory = [] { return std::make_unique<WordCountMapper>(); };
-  spec.reducer_factory = [] { return std::make_unique<WordCountReducer>(); };
-  spec.partitioner = [](const std::string& key, uint32_t n) {
-    return static_cast<uint32_t>(std::hash<std::string>{}(key) % n);
-  };
-  spec.sort_less = [](const std::string& a, const std::string& b) {
-    return a < b;
-  };
-  spec.group_equal = [](const std::string& a, const std::string& b) {
-    return a == b;
+  spec.partitioner = testing::GroupPartitioner;
+  spec.flat_reducer_factory = [] {
+    return [](const uint64_t& word, U64Cursor& values,
+              ReduceContext<WordCount>& ctx) {
+      uint64_t total = 0;
+      while (values.Next()) total += values.value();
+      ctx.Emit({GroupOf(word), total});
+    };
   };
   return spec;
 }
 
-std::map<std::string, uint64_t> RunWordCount(const std::vector<std::string>& lines,
-                                             const JobConfig& config) {
+std::map<uint32_t, uint64_t> RunWordCount(const std::vector<Line>& lines,
+                                          const JobConfig& config) {
   auto result = RunJob(WordCountSpec(), config, lines);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
-  std::map<std::string, uint64_t> counts;
+  std::map<uint32_t, uint64_t> counts;
   for (const auto& wc : result->records) counts[wc.word] = wc.count;
   return counts;
 }
@@ -79,16 +69,17 @@ TEST(RuntimeTest, WordCountBasics) {
   config.num_reduce_tasks = 2;
   config.num_workers = 4;
   auto counts = RunWordCount(
-      {"the quick brown fox", "the lazy dog", "the fox"}, config);
-  EXPECT_EQ(counts["the"], 3u);
-  EXPECT_EQ(counts["fox"], 2u);
-  EXPECT_EQ(counts["dog"], 1u);
+      {{kThe, kQuick, kBrown, kFox}, {kThe, kLazy, kDog}, {kThe, kFox}},
+      config);
+  EXPECT_EQ(counts[kThe], 3u);
+  EXPECT_EQ(counts[kFox], 2u);
+  EXPECT_EQ(counts[kDog], 1u);
   EXPECT_EQ(counts.size(), 6u);
 }
 
 TEST(RuntimeTest, EmptyInputYieldsEmptyOutput) {
   JobConfig config;
-  auto result = RunJob(WordCountSpec(), config, std::vector<std::string>{});
+  auto result = RunJob(WordCountSpec(), config, std::vector<Line>{});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->records.empty());
   EXPECT_EQ(result->stats.input_records, 0u);
@@ -99,16 +90,13 @@ TEST(RuntimeTest, MoreTasksThanRecords) {
   config.num_map_tasks = 16;
   config.num_reduce_tasks = 16;
   config.num_workers = 4;
-  auto counts = RunWordCount({"solo"}, config);
-  EXPECT_EQ(counts["solo"], 1u);
+  auto counts = RunWordCount({{7}}, config);
+  EXPECT_EQ(counts[7], 1u);
 }
 
 TEST(RuntimeTest, SingleWorkerMatchesParallel) {
-  std::vector<std::string> lines;
-  for (int i = 0; i < 200; ++i) {
-    lines.push_back("w" + std::to_string(i % 17) + " w" +
-                    std::to_string(i % 5));
-  }
+  std::vector<Line> lines;
+  for (uint32_t i = 0; i < 200; ++i) lines.push_back({i % 17, 100 + i % 5});
   JobConfig serial;
   serial.num_workers = 1;
   JobConfig parallel;
@@ -120,8 +108,8 @@ TEST(RuntimeTest, StatsArepopulated) {
   JobConfig config;
   config.num_map_tasks = 2;
   config.num_reduce_tasks = 3;
-  auto result =
-      RunJob(WordCountSpec(), config, std::vector<std::string>{"a b", "c a"});
+  auto result = RunJob(WordCountSpec(), config,
+                       std::vector<Line>{{kThe, kFox}, {kDog, kThe}});
   ASSERT_TRUE(result.ok());
   const JobStats& stats = result->stats;
   EXPECT_EQ(stats.input_records, 2u);
@@ -138,55 +126,30 @@ TEST(RuntimeTest, StatsArepopulated) {
 TEST(RuntimeTest, InvalidConfigRejected) {
   JobConfig config;
   config.num_map_tasks = 0;
-  auto result = RunJob(WordCountSpec(), config, std::vector<std::string>{"x"});
+  auto result = RunJob(WordCountSpec(), config, std::vector<Line>{{1}});
   EXPECT_TRUE(result.status().IsInvalidArgument());
 }
 
 TEST(RuntimeTest, IncompleteSpecRejected) {
-  JobSpec<std::string, std::string, uint64_t, WordCount> spec;  // all empty
+  JobSpec<Line, uint64_t, uint64_t, WordCount> spec;  // all empty
   JobConfig config;
-  auto result = RunJob(spec, config, std::vector<std::string>{"x"});
+  auto result = RunJob(spec, config, std::vector<Line>{{1}});
   EXPECT_TRUE(result.status().IsInvalidArgument());
 }
 
 // ------------------------------------------------- secondary sort semantics
 
-struct TestKey {
-  uint32_t group = 0;
-  double order = 0.0;
-};
-
-}  // namespace
-}  // namespace spq::mapreduce
-
-namespace spq::mapreduce {
-template <>
-struct Codec<spq::mapreduce::TestKey> {
-  static void Encode(const TestKey& k, Buffer& buf) {
-    buf.PutUint32(k.group);
-    buf.PutDouble(k.order);
-  }
-  static Status Decode(BufferReader& reader, TestKey* out) {
-    SPQ_RETURN_NOT_OK(reader.GetUint32(&out->group));
-    return reader.GetDouble(&out->order);
-  }
-};
-}  // namespace spq::mapreduce
-
-namespace spq::mapreduce {
-namespace {
-
 struct OrderedInput {
   uint32_t group;
-  double order;
+  uint32_t order;
   uint64_t payload;
 };
 
-class PassThroughMapper : public Mapper<OrderedInput, TestKey, uint64_t> {
+class PassThroughMapper : public Mapper<OrderedInput, uint64_t, uint64_t> {
  public:
   void Map(const OrderedInput& in,
-           MapContext<TestKey, uint64_t>& ctx) override {
-    ctx.Emit(TestKey{in.group, in.order}, in.payload);
+           MapContext<uint64_t, uint64_t>& ctx) override {
+    ctx.Emit(U64Key(in.group, in.order), in.payload);
   }
 };
 
@@ -194,57 +157,43 @@ class PassThroughMapper : public Mapper<OrderedInput, TestKey, uint64_t> {
 /// component so tests can assert the sort order within the group.
 struct SeenValue {
   uint32_t group;
-  double order;
+  uint32_t order;
   uint64_t payload;
 };
 
-class CollectingReducer : public Reducer<TestKey, uint64_t, SeenValue> {
- public:
-  explicit CollectingReducer(int limit = -1) : limit_(limit) {}
-  void Reduce(const TestKey& group_key, GroupValues<TestKey, uint64_t>& values,
-              ReduceContext<SeenValue>& ctx) override {
-    int taken = 0;
-    while (values.Next()) {
-      ctx.Emit({group_key.group, values.key().order, values.value()});
-      if (limit_ > 0 && ++taken >= limit_) break;  // early termination
-    }
-  }
-
- private:
-  int limit_;
-};
-
-JobSpec<OrderedInput, TestKey, uint64_t, SeenValue> SecondarySortSpec(
+/// Takes at most `limit` values per group (all when limit <= 0): stopping
+/// early is the reducer-side early termination the runtime must honour.
+JobSpec<OrderedInput, uint64_t, uint64_t, SeenValue> SecondarySortSpec(
     int limit = -1) {
-  JobSpec<OrderedInput, TestKey, uint64_t, SeenValue> spec;
+  JobSpec<OrderedInput, uint64_t, uint64_t, SeenValue> spec;
   spec.mapper_factory = [] { return std::make_unique<PassThroughMapper>(); };
-  spec.reducer_factory = [limit] {
-    return std::make_unique<CollectingReducer>(limit);
-  };
-  spec.partitioner = [](const TestKey& k, uint32_t n) { return k.group % n; };
-  spec.sort_less = [](const TestKey& a, const TestKey& b) {
-    if (a.group != b.group) return a.group < b.group;
-    return a.order < b.order;
-  };
-  spec.group_equal = [](const TestKey& a, const TestKey& b) {
-    return a.group == b.group;
+  spec.partitioner = testing::GroupPartitioner;
+  spec.flat_reducer_factory = [limit] {
+    return [limit](const uint64_t& group_key, U64Cursor& values,
+                   ReduceContext<SeenValue>& ctx) {
+      int taken = 0;
+      while (values.Next()) {
+        ctx.Emit({GroupOf(group_key), OrderOf(values.key()), values.value()});
+        if (limit > 0 && ++taken >= limit) break;  // early termination
+      }
+    };
   };
   return spec;
 }
 
 TEST(RuntimeTest, SecondarySortOrdersValuesWithinGroup) {
   std::vector<OrderedInput> input;
-  // Interleave groups and emit orders descending so sorting must work.
-  for (int i = 9; i >= 0; --i) {
-    input.push_back({0, static_cast<double>(i), static_cast<uint64_t>(i)});
-    input.push_back({1, static_cast<double>(-i), static_cast<uint64_t>(i)});
+  // Interleave groups and emit orders out of order so sorting must work.
+  for (uint32_t i = 10; i-- > 0;) {
+    input.push_back({0, i, i});
+    input.push_back({1, (i * 7) % 10, i});
   }
   JobConfig config;
   config.num_map_tasks = 4;
   config.num_reduce_tasks = 2;
   auto result = RunJob(SecondarySortSpec(), config, input);
   ASSERT_TRUE(result.ok());
-  std::map<uint32_t, std::vector<double>> orders;
+  std::map<uint32_t, std::vector<uint32_t>> orders;
   for (const auto& seen : result->records) {
     orders[seen.group].push_back(seen.order);
   }
@@ -258,14 +207,14 @@ TEST(RuntimeTest, SecondarySortOrdersValuesWithinGroup) {
 }
 
 TEST(RuntimeTest, ReducerSeesCompositeKeyOfCurrentValue) {
-  std::vector<OrderedInput> input{{5, 0.25, 1}, {5, 0.75, 2}};
+  std::vector<OrderedInput> input{{5, 25, 1}, {5, 75, 2}};
   JobConfig config;
   config.num_reduce_tasks = 1;
   auto result = RunJob(SecondarySortSpec(), config, input);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->records.size(), 2u);
-  EXPECT_DOUBLE_EQ(result->records[0].order, 0.25);
-  EXPECT_DOUBLE_EQ(result->records[1].order, 0.75);
+  EXPECT_EQ(result->records[0].order, 25u);
+  EXPECT_EQ(result->records[1].order, 75u);
 }
 
 TEST(RuntimeTest, EarlyTerminationSkipsToNextGroup) {
@@ -273,8 +222,8 @@ TEST(RuntimeTest, EarlyTerminationSkipsToNextGroup) {
   // runtime must still deliver every group.
   std::vector<OrderedInput> input;
   for (uint32_t g = 0; g < 8; ++g) {
-    for (int i = 0; i < 20; ++i) {
-      input.push_back({g, static_cast<double>((i * 7) % 20), i * 100ull + g});
+    for (uint32_t i = 0; i < 20; ++i) {
+      input.push_back({g, (i * 7) % 20, i * 100ull + g});
     }
   }
   JobConfig config;
@@ -284,13 +233,13 @@ TEST(RuntimeTest, EarlyTerminationSkipsToNextGroup) {
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->records.size(), 8u);
   for (const auto& seen : result->records) {
-    EXPECT_DOUBLE_EQ(seen.order, 0.0) << "group " << seen.group;
+    EXPECT_EQ(seen.order, 0u) << "group " << seen.group;
   }
 }
 
 TEST(RuntimeTest, GroupsWithSingleValue) {
   std::vector<OrderedInput> input;
-  for (uint32_t g = 0; g < 100; ++g) input.push_back({g, 1.0, g});
+  for (uint32_t g = 0; g < 100; ++g) input.push_back({g, 1, g});
   JobConfig config;
   config.num_map_tasks = 7;
   config.num_reduce_tasks = 5;
@@ -301,9 +250,8 @@ TEST(RuntimeTest, GroupsWithSingleValue) {
 
 TEST(RuntimeTest, DeterministicAcrossRuns) {
   std::vector<OrderedInput> input;
-  for (int i = 0; i < 500; ++i) {
-    input.push_back({static_cast<uint32_t>(i % 13),
-                     static_cast<double>((i * 31) % 97), static_cast<uint64_t>(i)});
+  for (uint32_t i = 0; i < 500; ++i) {
+    input.push_back({i % 13, (i * 31) % 97, i});
   }
   JobConfig config;
   config.num_map_tasks = 8;
@@ -316,7 +264,7 @@ TEST(RuntimeTest, DeterministicAcrossRuns) {
   ASSERT_EQ(a->records.size(), b->records.size());
   for (std::size_t i = 0; i < a->records.size(); ++i) {
     EXPECT_EQ(a->records[i].group, b->records[i].group);
-    EXPECT_DOUBLE_EQ(a->records[i].order, b->records[i].order);
+    EXPECT_EQ(a->records[i].order, b->records[i].order);
     EXPECT_EQ(a->records[i].payload, b->records[i].payload);
   }
 }
@@ -329,10 +277,9 @@ class ClusterShapeTest
 
 TEST_P(ClusterShapeTest, WordCountInvariantUnderClusterShape) {
   const auto [maps, reduces, workers] = GetParam();
-  std::vector<std::string> lines;
-  for (int i = 0; i < 300; ++i) {
-    lines.push_back("alpha w" + std::to_string(i % 23) + " w" +
-                    std::to_string(i % 7));
+  std::vector<Line> lines;
+  for (uint32_t i = 0; i < 300; ++i) {
+    lines.push_back({0, 1 + i % 23, 100 + i % 7});
   }
   JobConfig reference;
   reference.num_map_tasks = 1;
@@ -357,12 +304,12 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(RuntimeTest, CountersFlowFromTasksToJob) {
-  JobSpec<std::string, std::string, uint64_t, WordCount> spec = WordCountSpec();
+  JobSpec<Line, uint64_t, uint64_t, WordCount> spec = WordCountSpec();
   spec.mapper_factory = [] {
     class CountingMapper : public WordCountMapper {
      public:
-      void Map(const std::string& line,
-               MapContext<std::string, uint64_t>& ctx) override {
+      void Map(const Line& line,
+               MapContext<uint64_t, uint64_t>& ctx) override {
         ctx.counters().Increment("lines");
         WordCountMapper::Map(line, ctx);
       }
@@ -372,7 +319,7 @@ TEST(RuntimeTest, CountersFlowFromTasksToJob) {
   JobConfig config;
   config.num_map_tasks = 3;
   auto result =
-      RunJob(spec, config, std::vector<std::string>{"a", "b", "c", "d"});
+      RunJob(spec, config, std::vector<Line>{{1}, {2}, {3}, {4}});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->stats.counters.Get("lines"), 4u);
 }

@@ -6,13 +6,14 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <map>
-#include <memory>
 
 #include "mapreduce/runtime.h"
+#include "testing/u64_shuffle.h"
 
 namespace spq::mapreduce {
 namespace {
+
+using testing::SumsByGroup;
 
 // Per-process unique: ctest runs each discovered test in its own process,
 // possibly in parallel, and SpillFilesRemovedAfterJob remove_all()s this
@@ -58,7 +59,7 @@ TEST(SpillFileTest, PathsAreUniquePerRunTaskPartition) {
   EXPECT_NE(SpillPath(dir, 1, 0, 0), SpillPath(dir, 1, 0, 1));
 }
 
-// ----- the shared fetch-at-least-N / peek-available buffer primitive -----
+// ----- the windowed region reader -----
 
 std::vector<uint8_t> PatternBytes(std::size_t n) {
   std::vector<uint8_t> bytes(n);
@@ -68,33 +69,40 @@ std::vector<uint8_t> PatternBytes(std::size_t n) {
   return bytes;
 }
 
-TEST(SpillRegionReaderTest, PeekConsumeWalksWholeRegion) {
+/// Fetches the region in `chunk`-byte steps (the last one shorter) until
+/// it is exhausted or a Fetch fails; returns that Status and appends every
+/// byte served to `got`.
+Status FetchInChunks(SpillRegionReader& reader, std::size_t chunk,
+                     std::vector<uint8_t>& got) {
+  while (reader.remaining() > 0) {
+    const std::size_t n = std::min<std::size_t>(reader.remaining(), chunk);
+    const uint8_t* p = nullptr;
+    SPQ_RETURN_NOT_OK(reader.Fetch(n, &p));
+    got.insert(got.end(), p, p + n);
+  }
+  return Status::OK();
+}
+
+TEST(SpillRegionReaderTest, FetchWalksWholeRegion) {
   const std::string path =
       SpillPath(SpillTestDir(), NextSpillRunId(), 9, 0);
   const std::vector<uint8_t> bytes = PatternBytes(10'000);
   ASSERT_TRUE(WriteSpillFile(path, bytes).ok());
 
   SpillRegionReader reader;
-  // A tiny buffer forces many refill cycles.
+  // A tiny buffer forces many refill cycles, and awkward prime-sized
+  // fetches stress the compaction of the unfetched tail.
   reader.Open(path, 0, bytes.size(), /*buffer_capacity=*/64);
   std::vector<uint8_t> got;
-  while (got.size() < bytes.size()) {
-    if (reader.peek_len() == 0) {
-      ASSERT_TRUE(reader.FetchMore().ok());
-      ASSERT_GT(reader.peek_len(), 0u);
-    }
-    // Consume in awkward prime-sized chunks to stress compaction.
-    const std::size_t n = std::min<std::size_t>(reader.peek_len(), 13);
-    got.insert(got.end(), reader.peek_data(), reader.peek_data() + n);
-    reader.Consume(n);
-  }
+  ASSERT_TRUE(FetchInChunks(reader, 13, got).ok());
   EXPECT_EQ(got, bytes);
   EXPECT_EQ(reader.remaining(), 0u);
-  EXPECT_TRUE(reader.FetchMore().IsOutOfRange());
+  const uint8_t* p = nullptr;
+  EXPECT_TRUE(reader.Fetch(1, &p).IsOutOfRange());
   RemoveSpillFile(path);
 }
 
-TEST(SpillRegionReaderTest, FetchMoreGrowsPastBufferForOneBigRecord) {
+TEST(SpillRegionReaderTest, FetchGrowsPastBufferForOneBigRecord) {
   const std::string path =
       SpillPath(SpillTestDir(), NextSpillRunId(), 9, 1);
   const std::vector<uint8_t> bytes = PatternBytes(5'000);
@@ -102,49 +110,34 @@ TEST(SpillRegionReaderTest, FetchMoreGrowsPastBufferForOneBigRecord) {
 
   SpillRegionReader reader;
   reader.Open(path, 0, bytes.size(), /*buffer_capacity=*/128);
-  // Keep widening without consuming — as a decoder stuck on one record
-  // bigger than the buffer does — until the whole region is windowed.
-  while (reader.peek_len() < bytes.size()) {
-    ASSERT_TRUE(reader.FetchMore().ok());
-  }
-  EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), reader.peek_data()));
-  reader.Consume(bytes.size());
-  EXPECT_EQ(reader.remaining(), 0u);
-  RemoveSpillFile(path);
-}
-
-TEST(SpillRegionReaderTest, FetchAndPeekProtocolsInterleave) {
-  const std::string path =
-      SpillPath(SpillTestDir(), NextSpillRunId(), 9, 2);
-  const std::vector<uint8_t> bytes = PatternBytes(2'000);
-  ASSERT_TRUE(WriteSpillFile(path, bytes).ok());
-
-  SpillRegionReader reader;
-  reader.Open(path, 0, bytes.size(), /*buffer_capacity=*/64);
+  // A small record, then one far bigger than the buffer, then the rest:
+  // the buffer grows for the big one and serves the tail after it.
   const uint8_t* p = nullptr;
-  ASSERT_TRUE(reader.Fetch(100, &p).ok());
-  EXPECT_TRUE(std::equal(bytes.begin(), bytes.begin() + 100, p));
-  ASSERT_TRUE(reader.FetchMore().ok());
-  ASSERT_GE(reader.peek_len(), 1u);
-  EXPECT_EQ(reader.peek_data()[0], bytes[100]);
-  reader.Consume(50);
-  ASSERT_TRUE(reader.Fetch(150, &p).ok());
-  EXPECT_TRUE(std::equal(bytes.begin() + 150, bytes.begin() + 300, p));
+  ASSERT_TRUE(reader.Fetch(10, &p).ok());
+  EXPECT_TRUE(std::equal(bytes.begin(), bytes.begin() + 10, p));
+  ASSERT_TRUE(reader.Fetch(4'000, &p).ok());
+  EXPECT_TRUE(std::equal(bytes.begin() + 10, bytes.begin() + 4'010, p));
+  ASSERT_TRUE(reader.Fetch(990, &p).ok());
+  EXPECT_TRUE(std::equal(bytes.begin() + 4'010, bytes.end(), p));
+  EXPECT_EQ(reader.remaining(), 0u);
   RemoveSpillFile(path);
 }
 
 TEST(SpillRegionReaderTest, TruncatedRegionSurfacesOutOfRange) {
   const std::string path =
       SpillPath(SpillTestDir(), NextSpillRunId(), 9, 3);
-  ASSERT_TRUE(WriteSpillFile(path, PatternBytes(100)).ok());
+  const std::vector<uint8_t> bytes = PatternBytes(100);
+  ASSERT_TRUE(WriteSpillFile(path, bytes).ok());
 
   SpillRegionReader reader;
   // Region claims more bytes than the file holds.
   reader.Open(path, 0, 500, /*buffer_capacity=*/64);
-  Status st = Status::OK();
-  while (st.ok()) st = reader.FetchMore();
+  std::vector<uint8_t> got;
+  const Status st = FetchInChunks(reader, 13, got);
   EXPECT_TRUE(st.IsOutOfRange()) << st.ToString();
-  EXPECT_EQ(reader.peek_len(), 100u);
+  // Every fetch that fit inside the file was served intact.
+  EXPECT_EQ(got.size(), 91u);
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), bytes.begin()));
   RemoveSpillFile(path);
 }
 
@@ -176,16 +169,7 @@ TEST(SpillFramingTest, CorruptBodyByteIsIOErrorNeverGarbage) {
   SpillRegionReader reader;
   reader.Open(path, 0, bytes.size(), /*buffer_capacity=*/256);
   std::vector<uint8_t> got;
-  Status st = Status::OK();
-  while (st.ok() && got.size() < bytes.size()) {
-    if (reader.peek_len() == 0) {
-      st = reader.FetchMore();
-      if (!st.ok()) break;
-    }
-    const std::size_t n = reader.peek_len();
-    got.insert(got.end(), reader.peek_data(), reader.peek_data() + n);
-    reader.Consume(n);
-  }
+  const Status st = FetchInChunks(reader, 100, got);
   EXPECT_TRUE(st.IsIOError()) << st.ToString();
   // Everything served before the error was verified-intact.
   EXPECT_LE(got.size(), 1'234u);
@@ -202,7 +186,8 @@ TEST(SpillFramingTest, CorruptTrailerIsDetected) {
   EXPECT_TRUE(ReadSpillFile(path).status().IsIOError());
   SpillRegionReader reader;
   reader.Open(path, 0, 300, /*buffer_capacity=*/64);
-  EXPECT_TRUE(reader.FetchMore().IsIOError());
+  const uint8_t* p = nullptr;
+  EXPECT_TRUE(reader.Fetch(1, &p).IsIOError());
   RemoveSpillFile(path);
 }
 
@@ -286,44 +271,9 @@ TEST(SpillFramingTest, ZeroFaultProbScopeIsInert) {
 
 // ----- end-to-end: jobs with the out-of-core shuffle -----
 
-class TensMapper : public Mapper<uint64_t, uint32_t, uint64_t> {
- public:
-  void Map(const uint64_t& v, MapContext<uint32_t, uint64_t>& ctx) override {
-    ctx.Emit(static_cast<uint32_t>(v % 7), v);
-  }
-};
-
-struct GroupSum {
-  uint32_t group;
-  uint64_t sum;
-};
-
-class SumReducer : public Reducer<uint32_t, uint64_t, GroupSum> {
- public:
-  void Reduce(const uint32_t& group, GroupValues<uint32_t, uint64_t>& values,
-              ReduceContext<GroupSum>& ctx) override {
-    uint64_t sum = 0;
-    while (values.Next()) sum += values.value();
-    ctx.Emit({group, sum});
-  }
-};
-
-JobSpec<uint64_t, uint32_t, uint64_t, GroupSum> SumSpec() {
-  JobSpec<uint64_t, uint32_t, uint64_t, GroupSum> spec;
-  spec.mapper_factory = [] { return std::make_unique<TensMapper>(); };
-  spec.reducer_factory = [] { return std::make_unique<SumReducer>(); };
-  spec.partitioner = [](const uint32_t& k, uint32_t n) { return k % n; };
-  spec.sort_less = [](const uint32_t& a, const uint32_t& b) { return a < b; };
-  spec.group_equal = [](const uint32_t& a, const uint32_t& b) {
-    return a == b;
-  };
-  return spec;
-}
-
-std::map<uint32_t, uint64_t> ToMap(const std::vector<GroupSum>& records) {
-  std::map<uint32_t, uint64_t> m;
-  for (const auto& r : records) m[r.group] = r.sum;
-  return m;
+/// Sums by v % 7.
+JobSpec<uint64_t, uint64_t, uint64_t, testing::GroupSum> SumSpec() {
+  return testing::GroupSumSpec(7);
 }
 
 TEST(SpillShuffleTest, SpilledJobMatchesInMemoryJob) {
@@ -341,7 +291,7 @@ TEST(SpillShuffleTest, SpilledJobMatchesInMemoryJob) {
   auto result = RunJob(SumSpec(), spilled, input);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-  EXPECT_EQ(ToMap(result->records), ToMap(expected->records));
+  EXPECT_EQ(SumsByGroup(result->records), SumsByGroup(expected->records));
   EXPECT_EQ(result->stats.shuffle_bytes, expected->stats.shuffle_bytes);
 }
 

@@ -1,7 +1,7 @@
-// Streaming spill readers under records larger than their 64 KiB
-// buffers: the legacy windowed SegmentReader must double its window until
-// one record fits, and the flat reader's pool cursor must grow for one
-// oversized keyword span — paths no small-record workload touches.
+// The spilled-segment reader under a record larger than its 64 KiB
+// buffers: the pool cursor must grow for one oversized keyword span — a
+// path no small-record workload touches — and a truncated spill file must
+// surface an error.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -27,67 +27,6 @@ std::string TempDir() {
           .string();
   std::filesystem::create_directories(dir);
   return dir;
-}
-
-SortedSegment SpillStringSegment(const std::string& dir,
-                                 const std::vector<std::string>& values,
-                                 const std::string& name) {
-  Buffer buf;
-  for (uint32_t i = 0; i < values.size(); ++i) {
-    Codec<uint32_t>::Encode(i, buf);
-    Codec<std::string>::Encode(values[i], buf);
-  }
-  SortedSegment seg;
-  seg.num_records = values.size();
-  seg.bytes = buf.TakeBytes();
-  seg.byte_size = seg.bytes.size();
-  seg.spill_path = dir + "/" + name;
-  EXPECT_TRUE(WriteSpillFile(seg.spill_path, seg.bytes).ok());
-  seg.bytes.clear();
-  return seg;
-}
-
-TEST(StreamingSegmentReaderTest, RecordLargerThanWindowGrowsAndDecodes) {
-  const std::string dir = TempDir();
-  // One 300 KiB record sandwiched between small ones: the 64 KiB window
-  // must double (64 -> 128 -> 256 -> 512 KiB) before the big record
-  // decodes, and the small records around it must survive the compaction.
-  const std::vector<std::string> values = {
-      "small-head", std::string(300 * 1024, 'x'), "small-tail"};
-  SortedSegment seg = SpillStringSegment(dir, values, "big.seg");
-
-  MergeStream<uint32_t, std::string> stream(
-      {&seg}, [](const uint32_t& a, const uint32_t& b) { return a < b; });
-  std::vector<std::string> out;
-  while (stream.Advance()) out.push_back(stream.value());
-  EXPECT_TRUE(stream.status().ok()) << stream.status().ToString();
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0], values[0]);
-  EXPECT_EQ(out[1], values[1]);
-  EXPECT_EQ(out[2], values[2]);
-
-  std::filesystem::remove_all(dir);
-}
-
-TEST(StreamingSegmentReaderTest, TruncatedSpillFileSurfacesError) {
-  const std::string dir = TempDir();
-  SortedSegment seg = SpillStringSegment(
-      dir, {"first", std::string(200 * 1024, 'y')}, "trunc.seg");
-  // Chop the tail off on disk; num_records still promises two records.
-  auto bytes = ReadSpillFile(seg.spill_path);
-  ASSERT_TRUE(bytes.ok());
-  bytes->resize(bytes->size() / 2);
-  ASSERT_TRUE(WriteSpillFile(seg.spill_path, *bytes).ok());
-
-  MergeStream<uint32_t, std::string> stream(
-      {&seg}, [](const uint32_t& a, const uint32_t& b) { return a < b; });
-  ASSERT_TRUE(stream.Advance());
-  EXPECT_EQ(stream.value(), "first");
-  while (stream.Advance()) {
-  }
-  EXPECT_FALSE(stream.status().ok());
-
-  std::filesystem::remove_all(dir);
 }
 
 TEST(StreamingFlatReaderTest, PoolSpanLargerThanBufferGrowsAndMatches) {

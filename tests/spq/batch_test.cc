@@ -1,13 +1,17 @@
-#include "spq/batch.h"
+// SpqEngine::QueryBatch(): one warm call answering a batch of queries that
+// may differ in k, radius and keywords, each exactly as the paper's
+// single-query job would (testing/batch_oracle.h).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/random.h"
 #include "datagen/generator.h"
 #include "spq/engine.h"
 #include "spq/sequential.h"
+#include "testing/batch_oracle.h"
 
 namespace spq::core {
 namespace {
@@ -34,17 +38,12 @@ std::vector<Query> RandomBatch(Rng& rng, std::size_t count, uint32_t vocab) {
   return queries;
 }
 
-TEST(BatchKeyTest, SortAndGroupSemantics) {
-  // cell primary, query secondary, order tertiary.
-  EXPECT_TRUE(BatchKeySortLess({1, 5, 9.0}, {2, 0, 0.0}));
-  EXPECT_TRUE(BatchKeySortLess({1, 0, 9.0}, {1, 1, 0.0}));
-  EXPECT_TRUE(BatchKeySortLess({1, 1, 0.0}, {1, 1, 1.0}));
-  EXPECT_FALSE(BatchKeySortLess({1, 1, 1.0}, {1, 1, 1.0}));
-  EXPECT_TRUE(BatchKeyGroupEqual({3, 2, 0.1}, {3, 2, 0.9}));
-  EXPECT_FALSE(BatchKeyGroupEqual({3, 2, 0.1}, {3, 1, 0.1}));
-  EXPECT_FALSE(BatchKeyGroupEqual({3, 2, 0.1}, {4, 2, 0.1}));
-  // Partitioner routes by cell only: a cell's groups share a reducer.
-  EXPECT_EQ(BatchPartitioner({7, 0, 0.0}, 4), BatchPartitioner({7, 3, -1.0}, 4));
+/// The largest radius of `queries`: the store radius that serves them all
+/// warm.
+double MaxRadius(const std::vector<Query>& queries) {
+  double r = 0.0;
+  for (const Query& q : queries) r = std::max(r, q.radius);
+  return r;
 }
 
 class BatchAlgorithmTest : public ::testing::TestWithParam<Algorithm> {};
@@ -56,24 +55,17 @@ TEST_P(BatchAlgorithmTest, BatchMatchesPerQueryExecution) {
   SpqEngine engine(dataset, EngineOptions{.grid_size = 8});
   Rng rng(99);
   const auto queries = RandomBatch(rng, 6, vocab);
+  ASSERT_TRUE(engine.BuildStore(MaxRadius(queries)).ok());
 
-  auto batch = engine.ExecuteBatch(queries, algo);
+  auto batch = engine.QueryBatch(queries, algo);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  ASSERT_EQ(batch->per_query.size(), queries.size());
+  ASSERT_TRUE(batch->warm_path);
+  testing::ExpectBatchMatchesSingleQueryJobs(engine, queries, algo, *batch,
+                                             AlgorithmName(algo));
 
+  // Truthful scores vs the oracle.
   for (std::size_t q = 0; q < queries.size(); ++q) {
-    auto single = engine.Execute(queries[q], algo);
-    ASSERT_TRUE(single.ok());
-    const auto& got = batch->per_query[q];
-    const auto& expected = single->entries;
-    ASSERT_EQ(got.size(), expected.size())
-        << AlgorithmName(algo) << " query " << q;
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_DOUBLE_EQ(got[i].score, expected[i].score)
-          << AlgorithmName(algo) << " query " << q << " rank " << i;
-    }
-    // Truthful scores vs the oracle.
-    for (const auto& e : got) {
+    for (const auto& e : batch->per_query[q]) {
       for (const auto& p : dataset.data) {
         if (p.id == e.id) {
           EXPECT_DOUBLE_EQ(e.score,
@@ -99,7 +91,8 @@ TEST(BatchTest, SingleQueryBatchMatchesExecute) {
   q.k = 5;
   q.radius = 0.03;
   q.keywords = text::KeywordSet({1, 2});
-  auto batch = engine.ExecuteBatch({q}, Algorithm::kESPQSco);
+  ASSERT_TRUE(engine.BuildStore(q.radius).ok());
+  auto batch = engine.QueryBatch({q}, Algorithm::kESPQSco);
   auto single = engine.Execute(q, Algorithm::kESPQSco);
   ASSERT_TRUE(batch.ok());
   ASSERT_TRUE(single.ok());
@@ -114,7 +107,8 @@ TEST(BatchTest, SingleQueryBatchMatchesExecute) {
 TEST(BatchTest, EmptyBatchRejected) {
   Dataset dataset = TestDataset(53, 100);
   SpqEngine engine(dataset, EngineOptions{.grid_size = 4});
-  EXPECT_TRUE(engine.ExecuteBatch({}, Algorithm::kPSPQ)
+  ASSERT_TRUE(engine.BuildStore(0.1).ok());
+  EXPECT_TRUE(engine.QueryBatch({}, Algorithm::kPSPQ)
                   .status()
                   .IsInvalidArgument());
 }
@@ -122,13 +116,14 @@ TEST(BatchTest, EmptyBatchRejected) {
 TEST(BatchTest, InvalidQueryInBatchRejected) {
   Dataset dataset = TestDataset(54, 100);
   SpqEngine engine(dataset, EngineOptions{.grid_size = 4});
+  ASSERT_TRUE(engine.BuildStore(0.1).ok());
   Query good;
   good.k = 1;
   good.radius = 0.1;
   good.keywords = text::KeywordSet({1});
   Query bad = good;
   bad.k = 0;
-  EXPECT_TRUE(engine.ExecuteBatch({good, bad}, Algorithm::kPSPQ)
+  EXPECT_TRUE(engine.QueryBatch({good, bad}, Algorithm::kPSPQ)
                   .status()
                   .IsInvalidArgument());
 }
@@ -141,8 +136,10 @@ TEST(BatchTest, HeterogeneousKRadiusAndKeywords) {
   queries[1] = {.k = 20, .radius = 0.08,
                 .keywords = text::KeywordSet({2, 3, 4})};
   queries[2] = {.k = 5, .radius = 0.0, .keywords = text::KeywordSet({5})};
-  auto batch = engine.ExecuteBatch(queries, Algorithm::kESPQLen);
+  ASSERT_TRUE(engine.BuildStore(MaxRadius(queries)).ok());
+  auto batch = engine.QueryBatch(queries, Algorithm::kESPQLen);
   ASSERT_TRUE(batch.ok());
+  ASSERT_TRUE(batch->warm_path);
   for (std::size_t q = 0; q < queries.size(); ++q) {
     auto oracle = BruteForceSpq(dataset, queries[q]);
     ASSERT_EQ(batch->per_query[q].size(), oracle.size()) << "query " << q;
@@ -150,27 +147,6 @@ TEST(BatchTest, HeterogeneousKRadiusAndKeywords) {
       EXPECT_DOUBLE_EQ(batch->per_query[q][i].score, oracle[i].score);
     }
   }
-}
-
-TEST(BatchTest, SharedScanShipsDataObjectsOnce) {
-  Dataset dataset = TestDataset(56);
-  SpqEngine engine(dataset, EngineOptions{.grid_size = 6});
-  Rng rng(1);
-  const auto queries = RandomBatch(rng, 4, 40);
-  auto batch = engine.ExecuteBatch(queries, Algorithm::kESPQSco);
-  ASSERT_TRUE(batch.ok());
-  // The input is scanned once regardless of batch size...
-  EXPECT_EQ(batch->job.input_records,
-            dataset.data.size() + dataset.features.size());
-  // ...and each data object crosses the shuffle exactly once (the cached
-  // sentinel-group design), not once per query.
-  EXPECT_EQ(batch->job.counters.Get(counter::kDataObjects),
-            dataset.data.size());
-  const uint64_t features_shuffled =
-      batch->job.counters.Get(counter::kFeaturesKept) +
-      batch->job.counters.Get(counter::kFeatureDuplicates);
-  EXPECT_EQ(batch->job.map_output_records,
-            dataset.data.size() + features_shuffled);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // End-to-end integration: every optional runtime feature enabled at once
 // (fault injection + retries, out-of-core shuffle, balanced partitioner,
-// DFS-hosted dataset, batched queries) must still produce exactly the
-// oracle's answers.
+// DFS-hosted dataset, a store built under faults and batched warm queries)
+// must still produce exactly the oracle's answers.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include "io/dataset_io.h"
 #include "spq/engine.h"
 #include "spq/sequential.h"
+#include "testing/batch_oracle.h"
 
 namespace spq::core {
 namespace {
@@ -55,11 +56,17 @@ TEST(IntegrationTest, EverythingOnAtOnce) {
   queries[1].k = 1;
   queries[2].radius = 0.03;
 
+  // The store build job runs under the same faults and spill directory.
+  ASSERT_TRUE((*engine)->BuildStore(0.03).ok());
+  const mapreduce::JobStats& build = (*engine)->store()->build_stats();
+  EXPECT_GT(build.map_task_failures + build.reduce_task_failures, 0u);
+
   for (Algorithm algo :
        {Algorithm::kPSPQ, Algorithm::kESPQLen, Algorithm::kESPQSco}) {
-    auto batch = (*engine)->ExecuteBatch(queries, algo);
+    auto batch = (*engine)->QueryBatch(queries, algo);
     ASSERT_TRUE(batch.ok()) << AlgorithmName(algo) << ": "
                             << batch.status().ToString();
+    ASSERT_TRUE(batch->warm_path);
     for (std::size_t q = 0; q < queries.size(); ++q) {
       auto oracle = BruteForceSpq(*generated, queries[q]);
       ASSERT_EQ(batch->per_query[q].size(), oracle.size())
@@ -69,10 +76,9 @@ TEST(IntegrationTest, EverythingOnAtOnce) {
             << AlgorithmName(algo) << " query " << q << " rank " << i;
       }
     }
-    // Faults actually fired and were retried.
-    EXPECT_GT(batch->job.map_task_failures + batch->job.reduce_task_failures,
-              0u)
-        << AlgorithmName(algo);
+    // Each query's cold job, faults retried, agrees with the batch.
+    testing::ExpectBatchMatchesSingleQueryJobs(**engine, queries, algo,
+                                               *batch, AlgorithmName(algo));
   }
   std::filesystem::remove_all(options.spill_dir);
 }

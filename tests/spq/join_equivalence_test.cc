@@ -1,7 +1,7 @@
 // Oracle tests for the reduce-side spatial join, in which every group
 // probes its cell's CellGridIndex (reduce_core.h) instead of scanning the
-// cell. Across all three algorithms, spill/no-spill, cold single-query and
-// batched execution, and warm Query()/QueryBatch(),
+// cell. Across all three algorithms, spill/no-spill, cold single-query
+// execution, and warm Query()/QueryBatch(),
 // the results must match the brute-force linear scan of sequential.h
 // (BruteForceSpq): the same score at every rank, and every reported
 // entry's score equal to that object's true τ(p) (BruteForceScore) —
@@ -34,6 +34,7 @@
 #include "spq/engine.h"
 #include "spq/reduce_core.h"
 #include "spq/sequential.h"
+#include "testing/batch_oracle.h"
 #include "text/jaccard.h"
 #include "text/keyword_set.h"
 
@@ -198,22 +199,21 @@ TEST(JoinEquivalenceTest, BatchGridIndexMatchesLinearScan) {
     ASSERT_TRUE(engine.BuildStore(max_radius).ok());
     for (Algorithm algo : {Algorithm::kPSPQ, Algorithm::kESPQLen,
                            Algorithm::kESPQSco}) {
-      auto cold = engine.ExecuteBatch(queries, algo);
+      const std::string label =
+          AlgorithmName(algo) + (spill ? " spill" : " mem");
       auto warm = engine.QueryBatch(queries, algo);
-      ASSERT_TRUE(cold.ok()) << cold.status().ToString();
       ASSERT_TRUE(warm.ok()) << warm.status().ToString();
       EXPECT_TRUE(warm->warm_path);
-      ASSERT_EQ(cold->per_query.size(), queries.size());
       ASSERT_EQ(warm->per_query.size(), queries.size());
       for (std::size_t q = 0; q < queries.size(); ++q) {
-        const std::string label = AlgorithmName(algo) + " query " +
-                                  std::to_string(q) +
-                                  (spill ? " spill" : " mem");
-        ExpectMatchesOracle(cold->per_query[q], oracles[q], dataset,
-                            queries[q], label + " cold");
         ExpectMatchesOracle(warm->per_query[q], oracles[q], dataset,
-                            queries[q], label + " warm");
+                            queries[q],
+                            label + " query " + std::to_string(q) + " warm");
       }
+      // The cold single-query jobs (spilled on the spill pass) answer and
+      // count exactly as the batch does.
+      testing::ExpectBatchMatchesSingleQueryJobs(engine, queries, algo, *warm,
+                                                 label);
     }
     if (!spill_dir.empty()) std::filesystem::remove_all(spill_dir);
   }

@@ -1,14 +1,14 @@
 // The postings-driven warm map under SpqEngine::Query()/QueryBatch(),
-// against the cold MapReduce job (Execute()/ExecuteBatch(), whose mappers
-// screen every feature with the signature test and the exact merge or the
-// batch dictionary): same answers, the same seven shared SPQ counters, and
-// the same feature-side map output (the cold job also maps the data
-// objects, map.data_objects of them), with the keyword prefilter on and
-// off. The dataset and queries aim at the map's edges: a term no feature
-// has, term ids 0 and 2^32 - 1, empty q.W, features without keywords,
-// features sharing 256 and 300 terms with a query (an 8-bit count would
-// wrap), a batch repeating one query, and a batch with more distinct terms
-// than the cold batch dictionary holds (256).
+// against the cold MapReduce job (Execute(), whose mapper screens every
+// feature with the signature test and the exact merge): same answers, the
+// same seven shared SPQ counters, and the same feature-side map output
+// (the cold job also maps the data objects, map.data_objects of them),
+// with the keyword prefilter on and off. A batch is checked against one
+// cold job per query (testing/batch_oracle.h). The dataset and queries
+// aim at the map's edges: a term no feature has, term ids 0 and 2^32 - 1,
+// empty q.W, features without keywords, features sharing 256 and 300
+// terms with a query (an 8-bit count would wrap), a batch repeating one
+// query, and a batch with more than 256 distinct terms.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,7 @@
 
 #include "common/random.h"
 #include "spq/engine.h"
+#include "testing/batch_oracle.h"
 
 namespace spq::core {
 namespace {
@@ -27,7 +28,7 @@ namespace {
 constexpr uint32_t kGridSize = 6;
 constexpr double kStoreRadius = 0.08;
 constexpr text::TermId kMaxTerm = std::numeric_limits<text::TermId>::max();
-constexpr text::TermId kWideBase = 2000;  // terms of the wide-dictionary batch
+constexpr text::TermId kWideBase = 2000;  // terms of the wide batch
 
 std::vector<text::TermId> TermRange(text::TermId first, uint32_t count) {
   std::vector<text::TermId> ids;
@@ -90,8 +91,7 @@ std::vector<std::pair<std::string, Query>> EdgeQueries() {
 }
 
 /// The batch cases: every edge query at once, one query repeated, and 24
-/// queries with 12 terms each — 288 distinct terms, past the cold batch
-/// dictionary's 256.
+/// queries with 12 terms each — 288 distinct terms.
 std::vector<std::pair<std::string, std::vector<Query>>> EdgeBatches() {
   std::vector<Query> all;
   for (const auto& [label, q] : EdgeQueries()) all.push_back(q);
@@ -183,21 +183,11 @@ TEST(PostingsMapTest, QueryBatchMatchesCold) {
         const std::string label = std::string("prefilter ") +
                                   (prefilter ? "on, " : "off, ") +
                                   AlgorithmName(algo) + ", " + name;
-        auto cold = engine.ExecuteBatch(batch, algo);
         auto warm = engine.QueryBatch(batch, algo);
-        ASSERT_TRUE(cold.ok()) << label << ": " << cold.status().ToString();
         ASSERT_TRUE(warm.ok()) << label << ": " << warm.status().ToString();
         ASSERT_TRUE(warm->warm_path) << label;
-        ASSERT_EQ(warm->per_query.size(), batch.size()) << label;
-        for (std::size_t q = 0; q < batch.size(); ++q) {
-          ExpectSameEntries(cold->per_query[q], warm->per_query[q],
-                            label + ", query " + std::to_string(q));
-        }
-        EXPECT_EQ(SharedCounters(cold->job.counters),
-                  SharedCounters(warm->job.counters))
-            << label;
-        EXPECT_EQ(ColdFeatureRecords(cold->job), warm->job.map_output_records)
-            << label;
+        testing::ExpectBatchMatchesSingleQueryJobs(engine, batch, algo, *warm,
+                                                   label);
       }
     }
   }

@@ -9,10 +9,12 @@
 //     cold fallback instead of dragging their batchmates cold;
 //   - Shutdown() fulfills every admitted future;
 //   - an invalid query is rejected at Submit() and never fails the batch
-//     it would have joined.
+//     it would have joined;
+//   - out-of-range max_batch and max_wait_ms are clamped, not undefined.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <limits>
@@ -285,6 +287,87 @@ TEST(FrontDoorTest, ConcurrentSubmittersGetTheirOwnResults) {
   const ServingStats stats = door.stats();
   EXPECT_EQ(stats.admitted, static_cast<uint64_t>(kThreads) * queries.size());
   EXPECT_EQ(stats.rejected, 0u);
+}
+
+// max_batch = 2^32 - 1: the door's batch-size table has max_batch + 1
+// slots, which in 32 bits is zero, so the first dispatched batch would
+// write past its end. The door clamps max_batch to 4096.
+TEST(FrontDoorTest, HugeMaxBatchIsClamped) {
+  EngineOptions options = MakeServingOptions();
+  options.serving.max_batch = std::numeric_limits<uint32_t>::max();
+  SpqEngine engine(MakeServingDataset(), options);
+  ASSERT_TRUE(engine.BuildStore(kStoreRadius).ok());
+
+  const std::vector<Query> queries = MakeServingQueries(6);
+  std::vector<SpqResult> direct;
+  for (const Query& query : queries) {
+    auto result = engine.Query(query, Algorithm::kPSPQ);
+    ASSERT_TRUE(result.ok());
+    direct.push_back(*std::move(result));
+  }
+
+  SpqFrontDoor door(engine);
+  std::vector<std::future<StatusOr<SpqResult>>> futures;
+  for (const Query& query : queries) {
+    futures.push_back(door.Submit(query, Algorithm::kPSPQ));
+  }
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    StatusOr<SpqResult> result = futures[i].get();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectSameEntries(direct[i], *result, "query " + std::to_string(i));
+  }
+  const ServingStats stats = door.stats();
+  EXPECT_EQ(stats.batch_size_hist.size(), 4096u + 1);
+  uint64_t histogram_total = 0;
+  for (std::size_t s = 1; s < stats.batch_size_hist.size(); ++s) {
+    histogram_total += s * stats.batch_size_hist[s];
+  }
+  EXPECT_EQ(histogram_total, queries.size());
+}
+
+// A wait budget of +inf or 1e300 ms overflows the batch-close deadline's
+// cast to the integer clock: undefined behaviour, which on x86 lands the
+// deadline in the past, so a batch would never wait for batchmates. The
+// door caps the budget at one minute, so a lone query waits until its
+// batch fills.
+TEST(FrontDoorTest, UnboundedMaxWaitHoldsTheBatchUntilFull) {
+  for (const double max_wait_ms :
+       {std::numeric_limits<double>::infinity(), 1e300}) {
+    SCOPED_TRACE("max_wait_ms " + std::to_string(max_wait_ms));
+    EngineOptions options = MakeServingOptions();
+    options.serving.max_batch = 4;
+    options.serving.max_wait_ms = max_wait_ms;
+    SpqEngine engine(MakeServingDataset(), options);
+    ASSERT_TRUE(engine.BuildStore(kStoreRadius).ok());
+
+    const std::vector<Query> queries = MakeServingQueries(4);
+    std::vector<SpqResult> direct;
+    for (const Query& query : queries) {
+      auto result = engine.Query(query, Algorithm::kPSPQ);
+      ASSERT_TRUE(result.ok());
+      direct.push_back(*std::move(result));
+    }
+
+    SpqFrontDoor door(engine);
+    std::vector<std::future<StatusOr<SpqResult>>> futures;
+    futures.push_back(door.Submit(queries[0], Algorithm::kPSPQ));
+    EXPECT_EQ(futures[0].wait_for(std::chrono::milliseconds(100)),
+              std::future_status::timeout);
+    for (std::size_t i = 1; i < queries.size(); ++i) {
+      futures.push_back(door.Submit(queries[i], Algorithm::kPSPQ));
+    }
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+      StatusOr<SpqResult> result = futures[i].get();
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_TRUE(result->info.warm_path) << "query " << i;
+      ExpectSameEntries(direct[i], *result, "query " + std::to_string(i));
+    }
+    const ServingStats stats = door.stats();
+    EXPECT_EQ(stats.batches, 1u);
+    EXPECT_EQ(stats.coalesced, queries.size());
+    ASSERT_EQ(stats.batch_size_hist.size(), 5u);
+    EXPECT_EQ(stats.batch_size_hist[4], 1u);
+  }
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "spq/batch.h"
 
 namespace spq::core {
 namespace {
@@ -185,21 +184,6 @@ TEST(FlatTraitsOrderTest, CellKeyTraitsMatchComparators) {
         keys, CellKeySortLess, CellKeyGroupEqual,
         [](const CellKey& a, const CellKey& b) {
           return a.cell == b.cell && a.order == b.order;
-        });
-  }
-}
-
-TEST(FlatTraitsOrderTest, BatchCellKeyTraitsMatchComparators) {
-  Rng rng(405);
-  for (int round = 0; round < 5; ++round) {
-    std::vector<BatchCellKey> keys(400);
-    for (BatchCellKey& k : keys) {
-      k = {RandomId(rng), RandomId(rng), RandomOrder(rng)};
-    }
-    ExpectTraitsMatchComparators(
-        keys, BatchKeySortLess, BatchKeyGroupEqual,
-        [](const BatchCellKey& a, const BatchCellKey& b) {
-          return a.cell == b.cell && a.query == b.query && a.order == b.order;
         });
   }
 }

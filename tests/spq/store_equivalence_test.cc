@@ -22,6 +22,7 @@
 #include "datagen/workload.h"
 #include "spq/cell_store.h"
 #include "spq/engine.h"
+#include "testing/batch_oracle.h"
 
 namespace spq::core {
 namespace {
@@ -203,29 +204,11 @@ TEST(StoreEquivalenceTest, WarmBatchMatchesColdBatch) {
   ASSERT_TRUE(engine.BuildStore(max_radius).ok());
   for (Algorithm algo : {Algorithm::kPSPQ, Algorithm::kESPQLen,
                          Algorithm::kESPQSco}) {
-    auto cold = engine.ExecuteBatch(queries, algo);
     auto warm = engine.QueryBatch(queries, algo);
-    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
     ASSERT_TRUE(warm.ok()) << warm.status().ToString();
     EXPECT_TRUE(warm->warm_path);
-    ASSERT_EQ(cold->per_query.size(), warm->per_query.size());
-    for (std::size_t q = 0; q < cold->per_query.size(); ++q) {
-      const auto& ce = cold->per_query[q];
-      const auto& we = warm->per_query[q];
-      ASSERT_EQ(ce.size(), we.size()) << "query " << q;
-      for (std::size_t i = 0; i < ce.size(); ++i) {
-        EXPECT_EQ(ce[i].id, we[i].id) << "query " << q << " @" << i;
-        EXPECT_EQ(ce[i].score, we[i].score) << "query " << q << " @" << i;
-      }
-    }
-    EXPECT_EQ(cold->job.counters.Get(counter::kGroups),
-              warm->job.counters.Get(counter::kGroups));
-    EXPECT_EQ(cold->job.counters.Get(counter::kPairsTested),
-              warm->job.counters.Get(counter::kPairsTested));
-    EXPECT_EQ(cold->job.counters.Get(counter::kFeaturesExamined),
-              warm->job.counters.Get(counter::kFeaturesExamined));
-    EXPECT_EQ(cold->job.counters.Get(counter::kEarlyTerminations),
-              warm->job.counters.Get(counter::kEarlyTerminations));
+    testing::ExpectBatchMatchesSingleQueryJobs(engine, queries, algo, *warm,
+                                               AlgorithmName(algo));
   }
 }
 
@@ -284,12 +267,44 @@ TEST(StoreEquivalenceTest, RadiusBeyondStoreFallsBackCold) {
     EXPECT_EQ(cold->entries[i].score, warm->entries[i].score);
   }
 
-  // Batch: one oversized radius poisons the whole batch to the cold path.
-  std::vector<Query> queries{MakeStoreQuery(98, 2, 0.5 * max_radius), big};
-  auto warm_batch = engine.QueryBatch(queries, Algorithm::kESPQLen);
-  ASSERT_TRUE(warm_batch.ok());
-  EXPECT_TRUE(warm_batch->cold_fallback);
-  EXPECT_FALSE(warm_batch->warm_path);
+  // Batch: one oversized radius sends the whole batch to the cold path,
+  // one Execute() per query, counted as one fallback per call.
+  std::vector<Query> queries{MakeStoreQuery(98, 2, 0.5 * max_radius), big,
+                             MakeStoreQuery(97, 1, 0.9 * max_radius)};
+  for (int call = 0; call < 2; ++call) {
+    const uint64_t fallbacks_before =
+        engine.MetricsSnapshot().CounterValue("spq.query.cold_fallbacks");
+    auto warm_batch = engine.QueryBatch(queries, Algorithm::kESPQLen);
+    ASSERT_TRUE(warm_batch.ok()) << warm_batch.status().ToString();
+    EXPECT_EQ(
+        engine.MetricsSnapshot().CounterValue("spq.query.cold_fallbacks"),
+        fallbacks_before + 1);
+    EXPECT_TRUE(warm_batch->cold_fallback);
+    EXPECT_FALSE(warm_batch->warm_path);
+    ASSERT_EQ(warm_batch->per_query.size(), queries.size());
+    mapreduce::Counters sums;
+    uint64_t map_output_records = 0;
+    uint64_t shuffle_bytes = 0;
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      auto single = engine.Execute(queries[q], Algorithm::kESPQLen);
+      ASSERT_TRUE(single.ok()) << single.status().ToString();
+      const auto& want = single->entries;
+      const auto& got = warm_batch->per_query[q];
+      ASSERT_EQ(want.size(), got.size()) << "query " << q;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(want[i].id, got[i].id) << "query " << q << " @" << i;
+        EXPECT_EQ(want[i].score, got[i].score) << "query " << q << " @" << i;
+      }
+      sums.MergeFrom(single->info.job.counters);
+      map_output_records += single->info.job.map_output_records;
+      shuffle_bytes += single->info.job.shuffle_bytes;
+    }
+    EXPECT_EQ(warm_batch->job.counters.Snapshot(), sums.Snapshot());
+    EXPECT_EQ(warm_batch->job.map_output_records, map_output_records);
+    EXPECT_EQ(warm_batch->job.shuffle_bytes, shuffle_bytes);
+    EXPECT_EQ(warm_batch->job.input_records,
+              queries.size() * (dataset.data.size() + dataset.features.size()));
+  }
 }
 
 TEST(StoreEquivalenceTest, QueryWithoutStoreIsAnError) {

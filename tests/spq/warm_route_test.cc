@@ -20,6 +20,7 @@
 
 #include "common/random.h"
 #include "spq/engine.h"
+#include "testing/batch_oracle.h"
 
 namespace spq::core {
 namespace {
@@ -155,15 +156,8 @@ TEST(WarmRouteTest, AnswersDoNotDependOnSplitsOrWorkers) {
         ASSERT_TRUE(warm->warm_path) << label;
         const std::size_t a = static_cast<std::size_t>(algo);
         if (first) {
-          auto want = cold.ExecuteBatch(queries, algo);
-          ASSERT_TRUE(want.ok()) << label;
-          for (std::size_t q = 0; q < queries.size(); ++q) {
-            ExpectSameEntries(want->per_query[q], warm->per_query[q],
-                              label + " vs cold, query " + std::to_string(q));
-          }
-          EXPECT_EQ(SharedCounters(want->job.counters),
-                    SharedCounters(warm->job.counters))
-              << label << " vs cold";
+          testing::ExpectBatchMatchesSingleQueryJobs(engine, queries, algo,
+                                                     *warm, label + " vs cold");
           batch_ref.push_back(warm->per_query);
           batch_counters_ref.push_back(SpqCounters(warm->job.counters));
           batch_records_ref.push_back(warm->job.map_output_records);
