@@ -657,7 +657,7 @@ int main() {
     // where a p50 comparison on this container drowns it in allocator
     // placement noise.
     struct SuiteWork {
-      uint64_t pairs = 0, groups = 0, checks = 0, kept = 0;
+      uint64_t pairs = 0, groups = 0, kept = 0;
     };
     const auto SuiteWorkOf = [&](core::SpqEngine& target) {
       SuiteWork w;
@@ -669,7 +669,6 @@ int main() {
         }
         w.pairs += r->info.pairs_tested;
         w.groups += r->info.reduce_groups;
-        w.checks += r->info.signature_checks;
         w.kept += r->info.features_kept;
       }
       return w;
@@ -690,16 +689,13 @@ int main() {
                 static_cast<unsigned long long>(churn_cells_compacted),
                 churn_p50_ms, compacted_p50_ms, churn_static_p50_ms);
     std::printf("churn work parity: pairs %llu vs %llu, groups %llu vs "
-                "%llu, signature checks %llu vs %llu\n",
+                "%llu\n",
                 static_cast<unsigned long long>(churned_work.pairs),
                 static_cast<unsigned long long>(static_work.pairs),
                 static_cast<unsigned long long>(churned_work.groups),
-                static_cast<unsigned long long>(static_work.groups),
-                static_cast<unsigned long long>(churned_work.checks),
-                static_cast<unsigned long long>(static_work.checks));
+                static_cast<unsigned long long>(static_work.groups));
     churn_work_parity =
         churned_work.groups == static_work.groups &&
-        churned_work.checks == static_work.checks &&
         churned_work.kept == static_work.kept &&
         churned_work.pairs <=
             static_work.pairs + static_work.pairs / 50 &&

@@ -24,24 +24,12 @@ class SpqMapper final
       : algo_(algo),
         query_(std::move(query)),
         grid_(std::move(grid)),
-        keyword_prefilter_(keyword_prefilter),
-        query_sig_(text::TermSignature(query_.keywords.ids())) {}
+        keyword_prefilter_(keyword_prefilter) {}
 
   void Map(const ShuffleObject& x, SpqMapContext& ctx) override {
     if (x.is_data()) {
       ctx.counters().Increment(counter::kDataObjects);
       ctx.Emit(CellKey{grid_.CellOf(x.pos), DataOrder(algo_)}, x);
-      return;
-    }
-    // Signature screen ahead of the exact merge: a disjoint signature AND
-    // proves x.W ∩ q.W = ∅ (keyword_set.h), which is exactly the prefilter
-    // drop below with common == 0 — same counter, same outcome, minus the
-    // O(|x.W| + |q.W|) merge. Only valid when the prefilter is on (the
-    // ablation needs `common` for FeatureOrder) and the record carries a
-    // computed signature (FlattenDataset's do; 0 means "unknown").
-    if (keyword_prefilter_ && x.keyword_sig != 0 &&
-        (x.keyword_sig & query_sig_) == 0) {
-      ctx.counters().Increment(counter::kFeaturesPruned);
       return;
     }
     // Map-side pruning (line 9 of Algorithm 1): features sharing no term
@@ -75,7 +63,6 @@ class SpqMapper final
   Query query_;
   geo::UniformGrid grid_;
   bool keyword_prefilter_;
-  uint64_t query_sig_;  ///< TermSignature(q.W), hoisted out of Map
   std::vector<geo::CellId> targets_scratch_;  ///< CellsWithinDist reuse
 };
 
@@ -154,7 +141,6 @@ std::vector<ShuffleObject> FlattenDataset(const Dataset& dataset) {
     obj.id = f.id;
     obj.pos = f.pos;
     obj.keywords = f.keywords.ids();
-    obj.keyword_sig = text::TermSignature(obj.keywords);
     records.push_back(std::move(obj));
   }
   return records;

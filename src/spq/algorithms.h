@@ -63,15 +63,6 @@ inline constexpr char kFeaturesExamined[] = "reduce.features_examined";
 inline constexpr char kPairsTested[] = "reduce.pairs_tested";
 inline constexpr char kEarlyTerminations[] = "reduce.early_terminations";
 inline constexpr char kGroups[] = "reduce.groups";
-/// Warm reduce groups skipped whole by the cell text summary (signature
-/// AND empty, or the cell's keyword-length range cannot produce a positive
-/// score). Only the warm serving path maintains cell summaries, so this
-/// stays 0 on cold runs.
-inline constexpr char kCellsPruned[] = "reduce.cells_pruned";
-/// Cell-summary screening tests performed (one per warm group when the
-/// query has keywords); the cells-pruned rate of a workload is
-/// kCellsPruned / kSignatureChecks.
-inline constexpr char kSignatureChecks[] = "reduce.signature_checks";
 }  // namespace counter
 
 /// \brief Builds the complete MapReduce job (mapper, partitioner and flat
@@ -85,9 +76,11 @@ inline constexpr char kSignatureChecks[] = "reduce.signature_checks";
 /// still need the global MergeTopK (done by SpqEngine).
 ///
 /// `keyword_prefilter` is the map-side pruning of Algorithm 1 line 9 (drop
-/// features sharing no keyword with q.W before the shuffle). Disabling it
-/// is an ablation: results stay correct, but irrelevant features get
-/// shuffled, duplicated and (for pSPQ/eSPQlen) scored in the reducers.
+/// features sharing no keyword with q.W before the shuffle), tested by one
+/// exact sorted merge per feature (text::SortedIntersectionSize), whose
+/// count also feeds eSPQsco's map-side score. Disabling it is an ablation:
+/// results stay correct, but irrelevant features get shuffled, duplicated
+/// and (for pSPQ/eSPQlen) scored in the reducers.
 mapreduce::JobSpec<ShuffleObject, CellKey, ShuffleObject, ResultEntry>
 MakeSpqJobSpec(Algorithm algo, const Query& query,
                const geo::UniformGrid& grid, bool keyword_prefilter = true);

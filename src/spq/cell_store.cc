@@ -150,28 +150,6 @@ StatusOr<std::unique_ptr<CellStore>> CellStore::Build(
   store->build_stats_ = std::move(output.stats);
   store->data_objects_ =
       store->build_stats_.counters.Get(counter::kDataObjects);
-
-  // Cell keyword summaries: absorb every keyword-bearing feature into its
-  // own cell and every cell Lemma-1 duplication could copy it into at the
-  // store's max radius — a superset of any warm query's duplication
-  // targets (CellsWithinDist is monotone in r, and the engine refuses
-  // warm radii above max_radius). Keyword-less features are omitted: they
-  // always score 0, which is exactly what the summary's absence encodes.
-  std::vector<CellTextSummary> summaries(grid.num_cells());
-  for (const ShuffleObject& x : input) {
-    if (x.is_data()) continue;
-    const uint32_t len = static_cast<uint32_t>(KeywordCount(x));
-    if (len == 0) continue;
-    const uint64_t sig = x.keyword_sig != 0
-                             ? x.keyword_sig
-                             : text::TermSignature(KeywordData(x), len);
-    summaries[grid.CellOf(x.pos)].Absorb(sig, len);
-    for (geo::CellId c : grid.CellsWithinDist(x.pos, max_radius)) {
-      summaries[c].Absorb(sig, len);
-    }
-  }
-  store->text_summaries_ = std::make_shared<const std::vector<CellTextSummary>>(
-      std::move(summaries));
   return store;
 }
 
@@ -290,9 +268,12 @@ StatusOr<const CellStore::Partition*> CellStore::Serve(
 
 namespace {
 
-/// Manifest frame magic ("SPQM") and format version.
+/// Manifest frame magic ("SPQM") and format version. Version 1 carried a
+/// per-cell keyword summary after the cell entries; version 2 dropped it.
+/// A manifest of any other version is rejected whole, never misparsed, so
+/// OpenStore's caller falls back to a rebuild.
 constexpr uint32_t kManifestMagic = 0x5350514d;
-constexpr uint32_t kManifestVersion = 1;
+constexpr uint32_t kManifestVersion = 2;
 
 /// [magic u32][len u32][crc u32][payload] — one atomic checksummed unit;
 /// a manifest either decodes whole or is rejected whole.
@@ -551,12 +532,6 @@ StatusOr<CellStore::CheckpointInfo> CellStore::Checkpoint(
       payload.PutUint32(crcs[cell]);
     }
   }
-  for (const CellTextSummary& summary : *text_summaries_) {
-    payload.PutUint64(summary.signature);
-    payload.PutVarint(summary.min_len);
-    payload.PutVarint(summary.max_len);
-    payload.PutVarint(summary.reachable_features);
-  }
   std::vector<uint8_t> manifest = FrameManifest(std::move(payload));
   info.bytes_written += manifest.size();
   SPQ_RETURN_NOT_OK(dfs.WriteFile(ManifestFile(name, epoch), manifest));
@@ -613,8 +588,9 @@ StatusOr<std::unique_ptr<CellStore>> CellStore::Recover(
     uint32_t version = 0;
     SPQ_RETURN_NOT_OK(reader.GetUint32(&version));
     if (version != kManifestVersion) {
-      return Status::IOError("unknown manifest version " +
-                             std::to_string(version));
+      return Status::IOError("unsupported manifest version " +
+                             std::to_string(version) + " (this build reads " +
+                             std::to_string(kManifestVersion) + ")");
     }
     uint64_t manifest_epoch = 0;
     SPQ_RETURN_NOT_OK(reader.GetUint64(&manifest_epoch));
@@ -639,6 +615,13 @@ StatusOr<std::unique_ptr<CellStore>> CellStore::Recover(
     SPQ_RETURN_NOT_OK(reader.GetUint32(&num_cells));
     if (num_cells != grid.num_cells()) {
       return Status::IOError("manifest cell count mismatch");
+    }
+    // Every cell entry takes at least one byte, so a count the payload
+    // cannot hold is rejected before any partition is allocated.
+    if (reader.remaining() < num_cells) {
+      return Status::IOError("manifest claims " + std::to_string(num_cells) +
+                             " cells in " +
+                             std::to_string(reader.remaining()) + " bytes");
     }
     std::unique_ptr<CellStore> store(new CellStore(grid, max_radius));
     store->AllocateCells();
@@ -667,19 +650,6 @@ StatusOr<std::unique_ptr<CellStore>> CellStore::Recover(
     if (records_total != data_objects) {
       return Status::IOError("manifest record totals disagree");
     }
-    std::vector<CellTextSummary> summaries(num_cells);
-    for (CellTextSummary& summary : summaries) {
-      uint64_t min_len = 0, max_len = 0;
-      SPQ_RETURN_NOT_OK(reader.GetUint64(&summary.signature));
-      SPQ_RETURN_NOT_OK(reader.GetVarint(&min_len));
-      SPQ_RETURN_NOT_OK(reader.GetVarint(&max_len));
-      SPQ_RETURN_NOT_OK(reader.GetVarint(&summary.reachable_features));
-      summary.min_len = static_cast<uint32_t>(min_len);
-      summary.max_len = static_cast<uint32_t>(max_len);
-    }
-    store->text_summaries_ =
-        std::make_shared<const std::vector<CellTextSummary>>(
-            std::move(summaries));
     if (!reader.exhausted()) {
       return Status::IOError("trailing manifest bytes");
     }
@@ -754,7 +724,6 @@ void CellStore::AllocateCells() {
 std::unique_ptr<CellStore> CellStore::CloneShared() const {
   std::unique_ptr<CellStore> next(new CellStore(grid_, max_radius_));
   next->cells_ = cells_;  // shared partitions; the caller swaps mutated ones
-  next->text_summaries_ = text_summaries_;
   next->data_objects_ = data_objects_;
   next->build_stats_ = build_stats_;
   next->mutated_ = mutated_;
@@ -1029,67 +998,6 @@ StatusOr<std::unique_ptr<CellStore>> CellStore::Compacted() const {
 
 namespace {
 
-/// The cell-summary screen of one warm reduce group (see CellTextSummary
-/// for the soundness argument). Returns true when the group was fully
-/// handled — skipped with the baseline's exact counter footprint replayed,
-/// cursor drained — so the caller must not Serve or run the reduce core.
-///
-/// Counter replication, per algorithm, given the proof that every feature
-/// in a skipped group scores 0 against `query` (and qlen > 0):
-///  - pSPQ walks all n features (threshold stays 0, no probe survives
-///    w > 0): groups+1, features_examined+n, pairs+0.
-///  - eSPQlen: lengths ascend, so a zero-length feature (possible only
-///    with the keyword prefilter off) sits first and trips Lemma 2
-///    immediately (upper bound 0 vs threshold 0): groups+1,
-///    early_terminations+1, features_examined+0. Otherwise every upper
-///    bound is positive, the loop never breaks: features_examined+n.
-///  - eSPQsco: the first (maximal) map-side score is already 0, tripping
-///    the descending-order stop before anything is examined: groups+1,
-///    early_terminations+1, features_examined+0. pairs+0 in all cases.
-template <typename Cursor, typename Counters>
-bool TrySignatureSkip(const CellStore& store, Algorithm algo,
-                      const Query& query, uint64_t query_sig,
-                      geo::CellId cell, Cursor& cursor, Counters& counters) {
-  if (query.keywords.empty()) return false;
-  const CellTextSummary& summary = store.text_summary(cell);
-  counters.Increment(counter::kSignatureChecks);
-  if ((summary.signature & query_sig) != 0 &&
-      summary.BestScoreBound(query.keywords.size()) > 0.0) {
-    return false;
-  }
-  counters.Increment(counter::kCellsPruned);
-  counters.Increment(counter::kGroups);
-  uint64_t examined = 0;
-  switch (algo) {
-    case Algorithm::kPSPQ: {
-      while (cursor.Next()) ++examined;
-      break;
-    }
-    case Algorithm::kESPQLen: {
-      bool first = true;
-      bool stopped = false;
-      while (cursor.Next()) {
-        if (first) {
-          stopped = KeywordCount(cursor.value()) == 0;
-          first = false;
-        }
-        if (!stopped) ++examined;
-      }
-      if (stopped) counters.Increment(counter::kEarlyTerminations);
-      break;
-    }
-    case Algorithm::kESPQSco: {
-      counters.Increment(counter::kEarlyTerminations);
-      while (cursor.Next()) {
-      }
-      break;
-    }
-  }
-  counters.Increment(counter::kFeaturesExamined, examined);
-  counters.Increment(counter::kPairsTested, 0);
-  return true;
-}
-
 /// Composite key of a warm batch emission: the single-query CellKey plus
 /// the query's index in its batch. A group is one (cell, query).
 struct BatchCellKey {
@@ -1136,8 +1044,8 @@ bool MergeOrderLess(const WarmEmission<K>& a, const WarmEmission<K>& b) {
          std::tuple(QueryOf(b.key), b.key.order, b.feature);
 }
 
-/// One sorted group's values for the reduce cores and TrySignatureSkip,
-/// which need only Next()/key()/value().
+/// One sorted group's values for the reduce cores, which need only
+/// Next()/key()/value().
 template <typename K>
 struct WarmGroupCursor {
   const WarmEmission<K>* next;
@@ -1363,17 +1271,10 @@ StatusOr<mr::JobOutput<ResultEntry>> RunWarmQuery(
     const Query& query, bool keyword_prefilter,
     const std::vector<ShuffleObject>& features,
     const index::InvertedIndex& postings, ThreadPool& pool) {
-  const uint64_t query_sig = text::TermSignature(query.keywords.ids());
   auto serve_group = [&](const CellKey& key, auto& cursor,
                          mr::Counters& counters,
                          reduce_core::QueryScratch& scratch,
                          std::vector<ResultEntry>& out) -> Status {
-    // Summary screen first: a skipped group never touches the partition —
-    // no lazy materialization, no scratch reset, no feature scoring.
-    if (TrySignatureSkip(store, algo, query, query_sig, key.cell, cursor,
-                         counters)) {
-      return Status::OK();
-    }
     SPQ_ASSIGN_OR_RETURN(const CellStore::Partition* part,
                          store.Serve(key.cell));
     reduce_core::FrozenCellRef cell_ref{&part->data, &part->index,
@@ -1391,20 +1292,11 @@ StatusOr<mr::JobOutput<BatchResultEntry>> RunWarmBatch(
     const CellStore& store, Algorithm algo, const std::vector<Query>& queries,
     bool keyword_prefilter, const std::vector<ShuffleObject>& features,
     const index::InvertedIndex& postings, ThreadPool& pool) {
-  std::vector<uint64_t> query_sigs;
-  query_sigs.reserve(queries.size());
-  for (const Query& q : queries) {
-    query_sigs.push_back(text::TermSignature(q.keywords.ids()));
-  }
   auto serve_group = [&](const BatchCellKey& key, auto& cursor,
                          mr::Counters& counters,
                          reduce_core::QueryScratch& scratch,
                          std::vector<BatchResultEntry>& out) -> Status {
     const uint32_t q = key.query;
-    if (TrySignatureSkip(store, algo, queries[q], query_sigs[q], key.cell,
-                         cursor, counters)) {
-      return Status::OK();
-    }
     SPQ_ASSIGN_OR_RETURN(const CellStore::Partition* part,
                          store.Serve(key.cell));
     reduce_core::FrozenCellRef cell_ref{&part->data, &part->index,

@@ -1,7 +1,6 @@
 #ifndef SPQ_SPQ_CELL_STORE_H_
 #define SPQ_SPQ_CELL_STORE_H_
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -22,52 +21,6 @@
 #include "spq/types.h"
 
 namespace spq::core {
-
-/// \brief Compact keyword summary of everything that can reach one store
-/// cell's reduce groups: the OR of TermSignature over every
-/// keyword-bearing feature whose own cell is this cell or that Lemma-1
-/// duplication could copy here at any radius ≤ the store's max_radius,
-/// plus the min/max keyword-set length over those features.
-///
-/// Soundness: a warm query of radius r ≤ max_radius only receives features
-/// from exactly that reachable set (CellsWithinDist is monotone in r), so
-/// (query_sig & signature) == 0 proves every feature in the group shares
-/// no term with q.W — all scores are 0 and the whole group can be skipped.
-/// Likewise BestScoreBound caps every feature's Jaccard against q by the
-/// length-ratio bound of JaccardSortedBounded; a TopKList admits only
-/// scores > 0 (its threshold starts at 0), so a bound of 0 also proves the
-/// group empty-handed. Both tests are screening only — collisions or loose
-/// bounds cost a wasted check, never a wrong result.
-struct CellTextSummary {
-  uint64_t signature = 0;  ///< OR of reachable features' TermSignatures
-  uint32_t min_len = 0;    ///< shortest reachable keyword set (if any)
-  uint32_t max_len = 0;    ///< longest reachable keyword set (if any)
-  uint64_t reachable_features = 0;  ///< keyword-bearing features absorbed
-
-  void Absorb(uint64_t sig, uint32_t len) {
-    if (reachable_features == 0) {
-      min_len = len;
-      max_len = len;
-    } else {
-      min_len = std::min(min_len, len);
-      max_len = std::max(max_len, len);
-    }
-    signature |= sig;
-    ++reachable_features;
-  }
-
-  /// max over reachable lengths L of min(qlen, L) / max(qlen, L) — the
-  /// best Jaccard any reachable feature could possibly score against a
-  /// query of `qlen` keywords. 0 when nothing keyword-bearing reaches the
-  /// cell (then every feature scores 0) or qlen == 0.
-  double BestScoreBound(std::size_t qlen) const {
-    if (reachable_features == 0 || qlen == 0) return 0.0;
-    const double q = static_cast<double>(qlen);
-    if (qlen < min_len) return q / static_cast<double>(min_len);
-    if (qlen > max_len) return static_cast<double>(max_len) / q;
-    return 1.0;  // some reachable length equals qlen's regime
-  }
-};
 
 /// \brief Resident serving layer over the paper's grid partitioning of the
 /// object set O.
@@ -102,12 +55,12 @@ struct CellTextSummary {
 ///
 /// Thread-safety contract (any number of concurrent jobs):
 ///
-///   - SNAPSHOT-IMMUTABLE: grid geometry, per-cell record counts, text
-///     summaries, build stats, checkpoint metadata — and, once a cell's
-///     `ready` flag is set, that cell's CellData + fully built
-///     CellGridIndex. Concurrent queries read all of it lock-free; the
-///     reduce cores access it through a const FrozenCellRef and write
-///     only into their own QueryScratch.
+///   - SNAPSHOT-IMMUTABLE: grid geometry, per-cell record counts, build
+///     stats, checkpoint metadata — and, once a cell's `ready` flag is set,
+///     that cell's CellData + fully built CellGridIndex. Concurrent
+///     queries read all of it lock-free; the reduce cores access it
+///     through a const FrozenCellRef and write only into their own
+///     QueryScratch.
 ///   - FIRST-TOUCH MUTABLE, latched: lazy materialization (restore from
 ///     checkpoint / rebuild / decode + index build) runs under the cell's
 ///     private mutex with double-checked `ready` (release-published,
@@ -173,9 +126,9 @@ struct CellTextSummary {
 ///  M1. Single placement. A data object lives in exactly one cell
 ///      (grid.CellOf clamps out-of-bounds inserts onto an edge cell, the
 ///      same rule the build mapper applies). Lemma-1 duplication is a
-///      FEATURE-side, per-query concern — the resident store is data-only
-///      and CellTextSummary is feature-derived — so data mutations never
-///      touch duplication geometry or the keyword summaries.
+///      FEATURE-side, per-query concern and the resident store is
+///      data-only, so data mutations never touch duplication geometry or
+///      anything keyword-related.
 ///  M2. Rebuild bit-identity. The logically-equivalent dataset of a
 ///      mutated store is "surviving base rows in original dataset order,
 ///      then inserts in insert order". Inserts APPEND (to the serving
@@ -281,8 +234,8 @@ class CellStore {
 
   /// Persists the store under `<name>/` on `dfs`: one CRC-covered flat
   /// segment image per non-empty cell, an atomic checksummed manifest
-  /// (grid geometry, per-cell record counts / sizes / CRCs, keyword
-  /// summaries), and WAL begin/commit records bracketing the epoch. Works
+  /// (format version, grid geometry, per-cell record counts / sizes /
+  /// CRCs), and WAL begin/commit records bracketing the epoch. Works
   /// from any serving state: an untouched partition persists its segment
   /// bytes verbatim, a materialized one re-encodes its serving rows
   /// through the build's deterministic layout (bit-identical image), and
@@ -299,7 +252,9 @@ class CellStore {
   /// 3). `rebuild_input` must be the same flattened dataset the store was
   /// built from (validated against the manifest's data-object count); it
   /// backs the per-cell corruption fallback (invariant 4). NotFound when
-  /// no epoch satisfies the commit rule — callers fall back to Build.
+  /// no epoch satisfies the commit rule — including a manifest of another
+  /// format version, or one whose cell count its payload cannot hold —
+  /// and callers fall back to Build.
   static StatusOr<std::unique_ptr<CellStore>> Recover(
       dfs::MiniDfs& dfs, const std::string& name,
       const std::vector<ShuffleObject>& rebuild_input);
@@ -362,13 +317,6 @@ class CellStore {
   /// Physical serving rows of one cell (live + tombstoned).
   uint64_t cell_record_count(geo::CellId cell) const {
     return cells_[cell]->record_count;
-  }
-  /// The cell's keyword summary, built once from the store input's
-  /// features (valid for warm jobs over the same flattened dataset — the
-  /// engine contract; data mutations never touch it, invariant M1). See
-  /// CellTextSummary for the screening guarantees.
-  const CellTextSummary& text_summary(geo::CellId cell) const {
-    return (*text_summaries_)[cell];
   }
 
   /// Serving access for one reduce group: materializes the partition on
@@ -446,9 +394,6 @@ class CellStore {
   /// ready cell never changes, so sharing is safe — see the class
   /// comment's mutation-layer notes).
   std::vector<std::shared_ptr<Partition>> cells_;
-  /// Shared across generations (immutable once built — feature-derived,
-  /// untouched by data mutations).
-  std::shared_ptr<const std::vector<CellTextSummary>> text_summaries_;
   uint64_t data_objects_ = 0;
   mapreduce::JobStats build_stats_;
 
@@ -491,11 +436,9 @@ class CellStore {
 /// = |F|, map_output_records = kept + duplicates, its splits and reduce
 /// slots as tasks, no shuffle bytes.
 ///
-/// Each group is first screened against its cell's CellTextSummary (when
-/// the query has keywords); a group the summary proves score-less is
-/// skipped whole — no Serve, no score reset, no feature
-/// scoring — with the baseline's exact counter footprint replayed
-/// (reduce.cells_pruned / reduce.signature_checks record the screening).
+/// The postings walk is the route's one test of whether a feature shares a
+/// term with the query; every group the map forms is joined through the
+/// reduce cores, as in the cold job.
 StatusOr<mapreduce::JobOutput<ResultEntry>> RunWarmQuery(
     const CellStore& store, uint32_t data_cells, Algorithm algo,
     const Query& query, bool keyword_prefilter,
@@ -511,8 +454,7 @@ struct BatchResultEntry {
 
 /// Batched twin of RunWarmQuery: each map split runs the postings walk and
 /// visit once per batch query, and every (cell, query) group joins against
-/// the cell's one resident partition and its shared index, with the same
-/// per-group summary screen.
+/// the cell's one resident partition and its shared index.
 StatusOr<mapreduce::JobOutput<BatchResultEntry>> RunWarmBatch(
     const CellStore& store, Algorithm algo, const std::vector<Query>& queries,
     bool keyword_prefilter, const std::vector<ShuffleObject>& features,

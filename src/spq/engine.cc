@@ -109,8 +109,6 @@ SpqResult MakeSpqResult(const core::Query& query, Algorithm algo,
   info.pairs_tested = counters.Get(counter::kPairsTested);
   info.early_terminations = counters.Get(counter::kEarlyTerminations);
   info.reduce_groups = counters.Get(counter::kGroups);
-  info.cells_pruned = counters.Get(counter::kCellsPruned);
-  info.signature_checks = counters.Get(counter::kSignatureChecks);
   info.job = std::move(output.stats);
   return result;
 }

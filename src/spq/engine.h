@@ -78,10 +78,8 @@ struct ServingOptions {
 ///
 /// The shuffle has no knob: every SPQ job runs the flat-arena pipeline
 /// (RunJob in mapreduce/runtime.h). Nor does the reduce-side join: every
-/// group probes its cell's CellGridIndex and tests the candidates through
-/// the SIMD distance kernel (reduce_core.h), and warm groups are first
-/// screened against their cell's keyword summary (CellTextSummary in
-/// cell_store.h).
+/// group, cold or warm, probes its cell's CellGridIndex and tests the
+/// candidates through the SIMD distance kernel (reduce_core.h).
 struct EngineOptions {
   /// Cells per side of the query-time grid (the paper's "grid size";
   /// 50 means a 50x50 grid). 0 = choose automatically via AdviseGridSize.
@@ -97,11 +95,11 @@ struct EngineOptions {
   mapreduce::FaultSpec faults;
   int max_task_attempts = 4;
   /// Map-side keyword prefilter (Algorithm 1 line 9). Disable only for
-  /// the ablation study — results are identical either way. On the cold
-  /// jobs, a 64-bit TermSignature AND stands in for the exact q.W ∩ f.W
-  /// merge on provably disjoint features. On the warm path the engine's
-  /// term postings drive the map: with the prefilter on, Query() and
-  /// QueryBatch() visit only the features that share a term with q.W;
+  /// the ablation study — results are identical either way. Each path has
+  /// one test of x.W ∩ q.W ≠ ∅: the cold mapper merges the two sorted term
+  /// lists (text::SortedIntersectionSize), and on the warm path the
+  /// engine's term postings drive the map — with the prefilter on, Query()
+  /// and QueryBatch() visit only the features that share a term with q.W;
   /// with it off, the same loop visits every feature (RunWarmQuery in
   /// cell_store.h).
   bool keyword_prefilter = true;
@@ -168,11 +166,9 @@ struct SpqRunInfo {
   uint64_t pairs_tested = 0;         ///< data-feature distance evaluations
   uint64_t early_terminations = 0;   ///< reduce groups that stopped early
   uint64_t reduce_groups = 0;
-  /// Warm groups skipped whole by the cell keyword summary, because it
-  /// proves no feature of the group can score > 0 (0 on cold runs).
+  /// Always 0, both (the warm per-cell keyword screen they counted is
+  /// deleted); kept only because perfbench/main.cc reads them.
   uint64_t cells_pruned = 0;
-  /// Warm cell-summary screening tests performed; the workload's pruned
-  /// rate is cells_pruned / signature_checks.
   uint64_t signature_checks = 0;
 
   /// True when the run was served from the resident CellStore by the

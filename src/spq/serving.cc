@@ -70,8 +70,6 @@ SpqResult MakeCoalescedResult(Algorithm algo, std::vector<ResultEntry> entries,
   info.pairs_tested = counters.Get(counter::kPairsTested);
   info.early_terminations = counters.Get(counter::kEarlyTerminations);
   info.reduce_groups = counters.Get(counter::kGroups);
-  info.cells_pruned = counters.Get(counter::kCellsPruned);
-  info.signature_checks = counters.Get(counter::kSignatureChecks);
   info.warm_path = batch.warm_path;
   info.cold_fallback = batch.cold_fallback;
   info.job = batch.job;

@@ -105,12 +105,6 @@ struct ShuffleObject {
   /// pool) and `keywords` is ignored.
   const text::TermId* keyword_span = nullptr;
   uint32_t keyword_span_len = 0;
-  /// text::TermSignature of the keyword list, or 0 for "not computed".
-  /// FlattenDataset fills it once per feature so the map-side signature
-  /// screen pays one AND instead of a sorted intersection per query; it is
-  /// advisory (a 0 simply falls through to the exact test) and is not
-  /// shuffled — nothing past the map phase reads it.
-  uint64_t keyword_sig = 0;
 
   bool is_data() const { return kind == kData; }
   bool is_feature() const { return kind == kFeature; }
@@ -124,7 +118,6 @@ struct ShuffleObject {
     o.kind = kind;
     o.id = id;
     o.pos = pos;
-    o.keyword_sig = keyword_sig;
     o.keyword_span =
         keyword_span != nullptr ? keyword_span : keywords.data();
     o.keyword_span_len = keyword_span != nullptr

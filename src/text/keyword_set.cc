@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/hash.h"
-
 namespace spq::text {
 
 namespace {
@@ -121,16 +119,6 @@ double JaccardSortedBounded(const TermId* a, std::size_t a_len,
   const double upper = static_cast<double>(mn) / static_cast<double>(mx);
   if (upper <= threshold) return upper;
   return JaccardSorted(a, a_len, b, b_len);
-}
-
-uint64_t TermSignature(const TermId* ids, std::size_t n) {
-  // Mix64 spreads the (often small, dense) TermId space over all 64 bits;
-  // raw `id & 63` would alias every 64th vocabulary entry systematically.
-  uint64_t sig = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    sig |= uint64_t{1} << (Mix64(ids[i]) & 63);
-  }
-  return sig;
 }
 
 bool KeywordSet::Intersects(const KeywordSet& other) const {

@@ -30,8 +30,10 @@ class KeywordSet {
   /// |this ∩ other| via sorted merge.
   std::size_t IntersectionSize(const KeywordSet& other) const;
 
-  /// True iff the sets share at least one term — the map-side pruning test
-  /// of Algorithms 1/3/5 (line "x.W ∩ q.W ≠ ∅").
+  /// True iff the sets share at least one term: the map-side pruning test
+  /// of Algorithms 1/3/5 (line "x.W ∩ q.W ≠ ∅") in its plainest form, as
+  /// the test oracles use it. The engine counts the overlap instead
+  /// (SortedIntersectionSize on the cold path, term postings on the warm).
   bool Intersects(const KeywordSet& other) const;
 
   bool operator==(const KeywordSet& other) const { return ids_ == other.ids_; }
@@ -41,11 +43,12 @@ class KeywordSet {
 };
 
 /// |a ∩ b| of two *sorted unique* id spans (the wire form of a
-/// KeywordSet). Used on the hot map/reduce paths to avoid re-wrapping
-/// deserialized keyword lists. Falls back from the linear merge to a
-/// galloping (exponential + binary search) scan of the longer span when
-/// the lengths are very asymmetric, which turns O(|a| + |b|) into
-/// O(|a| log |b|) for the short-query-vs-long-feature case.
+/// KeywordSet). The cold mapper's one keyword test, and the core of the
+/// reducers' Jaccard; works on shuffled keyword spans without re-wrapping
+/// them. Falls back from the linear merge to a galloping (exponential +
+/// binary search) scan of the longer span when the lengths are very
+/// asymmetric, which turns O(|a| + |b|) into O(|a| log |b|) for the
+/// short-query-vs-long-feature case.
 std::size_t SortedIntersectionSize(const TermId* a, std::size_t a_len,
                                    const TermId* b, std::size_t b_len);
 std::size_t SortedIntersectionSize(const std::vector<TermId>& a,
@@ -56,25 +59,6 @@ double JaccardSorted(const TermId* a, std::size_t a_len, const TermId* b,
                      std::size_t b_len);
 double JaccardSorted(const std::vector<TermId>& a,
                      const std::vector<TermId>& b);
-
-/// \brief 64-bit one-bit-per-term hash signature of a sorted-unique id
-/// span: bit (Mix64(t) & 63) is set for every term t.
-///
-/// The screening property the prefilters rely on: two spans with a common
-/// term share a bit, so
-///
-///   (TermSignature(a) & TermSignature(b)) == 0
-///     ==>  SortedIntersectionSize(a, b) == 0.
-///
-/// The converse does not hold (distinct terms may collide into the same
-/// bit), so a non-empty AND means "compute the exact intersection", never
-/// "assume a match" — false positives cost speed only, correctness never.
-/// An empty span has signature 0; treat 0 as "no information" (it also
-/// AND-annihilates against everything).
-uint64_t TermSignature(const TermId* ids, std::size_t n);
-inline uint64_t TermSignature(const std::vector<TermId>& ids) {
-  return TermSignature(ids.data(), ids.size());
-}
 
 /// Threshold-aware Jaccard: when the size-ratio upper bound
 /// min(|a|,|b|) / max(|a|,|b|) already fails to exceed `threshold`, the

@@ -6,9 +6,12 @@
 // warm results and ALL SPQ counters bit-identical to a never-crashed
 // store, across the three algorithms and both spill modes. Corruption
 // tests pin the replica-failover and rebuild-from-dataset fallbacks:
-// detected loudly, counted, never served as garbage.
+// detected loudly, counted, never served as garbage. The manifest decoder
+// tests (ctest label "hostile") re-frame lying manifests under a valid CRC,
+// so the parser itself must reject them.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -16,6 +19,8 @@
 #include <string>
 #include <vector>
 
+#include "common/buffer.h"
+#include "common/crc32c.h"
 #include "datagen/generator.h"
 #include "datagen/workload.h"
 #include "dfs/mini_dfs.h"
@@ -185,8 +190,6 @@ void ExpectSuitesIdentical(const std::vector<SpqResult>& baseline,
     EXPECT_EQ(a.info.pairs_tested, b.info.pairs_tested) << where;
     EXPECT_EQ(a.info.early_terminations, b.info.early_terminations) << where;
     EXPECT_EQ(a.info.reduce_groups, b.info.reduce_groups) << where;
-    EXPECT_EQ(a.info.cells_pruned, b.info.cells_pruned) << where;
-    EXPECT_EQ(a.info.signature_checks, b.info.signature_checks) << where;
   }
 }
 
@@ -538,6 +541,139 @@ TEST(DurabilityTest, RecoveryUnderInjectedStorageFaults) {
   // injected (and the CRCs must have caught) at least one fault.
   EXPECT_GT(dfs.corrupt_replicas_detected() + dfs.faulty_replica_writes(),
             0u);
+}
+
+// ------------------------------------------------------ manifest decoding
+
+// The manifest frame is [magic u32][payload length u32][CRC-32C u32]
+// [payload]. The payload opens with u32 version, u64 epoch, f64
+// max_radius, four f64 bounds, u32 nx, u32 ny, u64 data objects and u32
+// cell count, then holds one entry per cell. Integers are little-endian.
+constexpr std::size_t kFrameHeaderBytes = 12;
+constexpr std::size_t kVersionAt = 0;
+constexpr std::size_t kNxAt = 52;
+constexpr std::size_t kNyAt = 56;
+constexpr std::size_t kNumCellsAt = 68;
+
+uint32_t GetU32At(const std::vector<uint8_t>& bytes, std::size_t at) {
+  uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) v |= uint32_t{bytes[at + i]} << (8 * i);
+  return v;
+}
+
+void PutU32At(std::vector<uint8_t>& bytes, std::size_t at, uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    bytes[at + i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+
+/// The payload of epoch 1's manifest under "store".
+std::vector<uint8_t> ManifestPayload(const dfs::MiniDfs& dfs) {
+  auto frame = dfs.ReadFile(CellStore::ManifestFile("store", 1));
+  EXPECT_TRUE(frame.ok()) << frame.status().ToString();
+  if (!frame.ok() || frame->size() < kFrameHeaderBytes) return {};
+  return std::vector<uint8_t>(frame->begin() + kFrameHeaderBytes,
+                              frame->end());
+}
+
+/// Replaces epoch 1's manifest with `payload`, framed with the original
+/// magic and a valid length and CRC, so only the decoder can reject it.
+void ReplaceManifestPayload(dfs::MiniDfs& dfs,
+                            const std::vector<uint8_t>& payload) {
+  const std::string file = CellStore::ManifestFile("store", 1);
+  auto old_frame = dfs.ReadFile(file);
+  ASSERT_TRUE(old_frame.ok()) << old_frame.status().ToString();
+  Buffer frame;
+  frame.PutUint32(GetU32At(*old_frame, 0));
+  frame.PutUint32(static_cast<uint32_t>(payload.size()));
+  frame.PutUint32(Crc32c(payload));
+  frame.PutBytes(payload.data(), payload.size());
+  ASSERT_TRUE(dfs.DeleteFile(file).ok());
+  ASSERT_TRUE(dfs.WriteFile(file, frame.TakeBytes()).ok());
+}
+
+/// The process's peak resident set so far, in KiB.
+long PeakRssKb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+// A manifest that claims far more cells than its payload can hold must be
+// rejected before the decoder allocates a partition per claimed cell. The
+// claim is 1024 x 1024 cells (about 0.5 GB of partitions if allocated);
+// never raise it toward UniformGrid's 2^31 cap, where a decoder that
+// allocates first would ask for about 1 TB.
+TEST(ManifestDecodeTest, CellCountBeyondPayloadIsRejectedBeforeAllocating) {
+  const EngineOptions options = MakeOptions(false, "cell_count");
+  SpqEngine builder(TestDataset(), options);
+  ASSERT_TRUE(builder.BuildStore(kMaxRadius).ok());
+  const std::vector<SpqResult> baseline = RunSuite(builder);
+  dfs::MiniDfs dfs(SmallDfs());
+  ASSERT_TRUE(builder.store()->Checkpoint(dfs, "store").ok());
+
+  constexpr uint32_t kClaimedSide = 1024;
+  std::vector<uint8_t> payload = ManifestPayload(dfs);
+  ASSERT_GT(payload.size(), kNumCellsAt + 4);
+  ASSERT_EQ(GetU32At(payload, kNxAt), kGridSize);  // the layout above holds
+  ASSERT_EQ(GetU32At(payload, kNumCellsAt), kGridSize * kGridSize);
+  ASSERT_LT(payload.size(), kClaimedSide * kClaimedSide);
+  PutU32At(payload, kNxAt, kClaimedSide);
+  PutU32At(payload, kNyAt, kClaimedSide);
+  PutU32At(payload, kNumCellsAt, kClaimedSide * kClaimedSide);
+  ReplaceManifestPayload(dfs, payload);
+
+  SpqEngine reader(TestDataset(), options);
+  const long peak_before_kb = PeakRssKb();
+  const Status opened = reader.OpenStore(dfs, "store");
+  const long peak_rise_kb = PeakRssKb() - peak_before_kb;
+  EXPECT_TRUE(opened.IsNotFound()) << opened.ToString();
+  EXPECT_LT(peak_rise_kb, 64 * 1024)
+      << "peak RSS rose by " << peak_rise_kb << " KiB";
+  EXPECT_FALSE(reader.has_store());
+  ASSERT_TRUE(reader.BuildStore(kMaxRadius).ok());
+  ExpectSuitesIdentical(baseline, RunSuite(reader), "rebuilt after the claim");
+}
+
+// A manifest of the previous format version must fail on its version, not
+// be parsed as the current layout. Version 1 ended with a per-cell keyword
+// summary section, appended here as version 1 wrote it.
+TEST(ManifestDecodeTest, PreviousVersionIsRejected) {
+  const EngineOptions options = MakeOptions(false, "version");
+  SpqEngine builder(TestDataset(), options);
+  ASSERT_TRUE(builder.BuildStore(kMaxRadius).ok());
+  const std::vector<SpqResult> baseline = RunSuite(builder);
+  dfs::MiniDfs dfs(SmallDfs());
+  ASSERT_TRUE(builder.store()->Checkpoint(dfs, "store").ok());
+
+  std::vector<uint8_t> payload = ManifestPayload(dfs);
+  ASSERT_GT(payload.size(), kNumCellsAt + 4);
+  ASSERT_EQ(GetU32At(payload, kNxAt), kGridSize);  // the layout above holds
+  const uint32_t num_cells = GetU32At(payload, kNumCellsAt);
+  ASSERT_EQ(num_cells, kGridSize * kGridSize);
+  PutU32At(payload, kVersionAt, 1);
+  // Per cell: a u64 term signature, then varint min_len, max_len and
+  // reachable_features.
+  Buffer summaries;
+  for (uint32_t cell = 0; cell < num_cells; ++cell) {
+    summaries.PutUint64(0x8000'0000'0000'0401ull);
+    summaries.PutVarint(2);
+    summaries.PutVarint(16);
+    summaries.PutVarint(cell % 7);
+  }
+  payload.insert(payload.end(), summaries.data(),
+                 summaries.data() + summaries.size());
+  ReplaceManifestPayload(dfs, payload);
+
+  SpqEngine reader(TestDataset(), options);
+  const Status opened = reader.OpenStore(dfs, "store");
+  EXPECT_TRUE(opened.IsNotFound()) << opened.ToString();
+  EXPECT_NE(opened.ToString().find("manifest version 1"), std::string::npos)
+      << opened.ToString();
+  EXPECT_FALSE(reader.has_store());
+  ASSERT_TRUE(reader.BuildStore(kMaxRadius).ok());
+  ExpectSuitesIdentical(baseline, RunSuite(reader),
+                        "rebuilt after a version-1 manifest");
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // The postings-driven warm map under SpqEngine::Query()/QueryBatch(),
-// against the cold MapReduce job (Execute(), whose mapper screens every
-// feature with the signature test and the exact merge): same answers, the
-// same seven shared SPQ counters, and the same feature-side map output
-// (the cold job also maps the data objects, map.data_objects of them),
-// with the keyword prefilter on and off. A batch is checked against one
+// against the cold MapReduce job (Execute(), whose mapper tests every
+// feature with an exact sorted merge): same answers, the same seven SPQ
+// counters, and the same feature-side map output (the cold job also maps
+// the data objects, map.data_objects of them), with the keyword prefilter
+// on and off. A batch is checked against one
 // cold job per query (testing/batch_oracle.h). The dataset and queries
 // aim at the map's edges: a term no feature has, term ids 0 and 2^32 - 1,
 // empty q.W, features without keywords, features sharing 256 and 300
@@ -108,8 +108,7 @@ std::vector<std::pair<std::string, std::vector<Query>>> EdgeBatches() {
           {"more than 256 distinct terms", wide}};
 }
 
-/// The seven SPQ counters the warm route shares with the cold job (the
-/// cell-summary screening counters are warm-only).
+/// The seven SPQ counters, which the warm route must match the cold job on.
 std::vector<uint64_t> SharedCounters(const mapreduce::Counters& c) {
   return {c.Get(counter::kFeaturesKept),     c.Get(counter::kFeaturesPruned),
           c.Get(counter::kFeatureDuplicates), c.Get(counter::kFeaturesExamined),

@@ -1,9 +1,10 @@
 // The direct warm route under SpqEngine::Query()/QueryBatch():
-//   - its answers and SPQ counters do not depend on how the feature input
-//     is split or how many threads serve it — on a dataset heavy in ties
-//     (many features share one keyword set, so eSPQsco scores and eSPQlen
-//     lengths tie inside cells) that pins the "ties in feature-input
-//     order" contract the route shares with the cold job's merge;
+//   - its answers and all seven SPQ counters equal the cold job's and do
+//     not depend on how the feature input is split or how many threads
+//     serve it — on a dataset heavy in ties (many features share one
+//     keyword set, so eSPQsco scores and eSPQlen lengths tie inside
+//     cells) that pins the "ties in feature-input order" contract the
+//     route shares with the cold job's merge;
 //   - its JobStats describe what it did: no shuffle bytes, no task
 //     failures or spill files whatever the fault and spill options say
 //     (those shape only cold jobs and the store build), one spq.job.runs
@@ -63,22 +64,13 @@ std::vector<Query> TieQueries() {
   return queries;
 }
 
-/// The nine SPQ counters of one run, by name.
+/// The seven SPQ counters of one run, by name; warm and cold runs must
+/// agree on all of them.
 std::vector<uint64_t> SpqCounters(const mapreduce::Counters& c) {
   return {c.Get(counter::kFeaturesKept),     c.Get(counter::kFeaturesPruned),
           c.Get(counter::kFeatureDuplicates), c.Get(counter::kFeaturesExamined),
           c.Get(counter::kPairsTested),      c.Get(counter::kEarlyTerminations),
-          c.Get(counter::kGroups),           c.Get(counter::kCellsPruned),
-          c.Get(counter::kSignatureChecks)};
-}
-
-/// The seven counters a cold run shares with a warm one: the cold job
-/// keeps no cell summaries, so it never screens (cells_pruned and
-/// signature_checks stay 0 there).
-std::vector<uint64_t> SharedCounters(const mapreduce::Counters& c) {
-  std::vector<uint64_t> all = SpqCounters(c);
-  all.resize(7);
-  return all;
+          c.Get(counter::kGroups)};
 }
 
 void ExpectSameEntries(const std::vector<ResultEntry>& want,
@@ -138,8 +130,7 @@ TEST(WarmRouteTest, AnswersDoNotDependOnSplitsOrWorkers) {
             auto want = cold.Execute(queries[q], algo);
             ASSERT_TRUE(want.ok()) << label;
             ExpectSameEntries(want->entries, got.entries, label + " vs cold");
-            EXPECT_EQ(SharedCounters(want->info.job.counters),
-                      SharedCounters(warm->info.job.counters))
+            EXPECT_EQ(SpqCounters(want->info.job.counters), got.counters)
                 << label << " vs cold";
             single_ref.push_back(std::move(got));
             continue;

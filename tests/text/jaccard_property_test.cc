@@ -1,22 +1,20 @@
 // Property tests pinning the keyword-set fast paths against naive
 // references:
 //
-//  - SortedIntersectionSize's galloping branch (engaged at length ratio
+//  - SortedIntersectionSize, the cold mapper's one test of x.W ∩ q.W ≠ ∅
+//    (Algorithm 1 line 9): its galloping branch (engaged at length ratio
 //    >= 8) vs a set-membership count;
 //  - JaccardSorted vs the inter/union formula computed naively;
 //  - JaccardSortedBounded's early exit: below-threshold calls return the
 //    length-ratio upper bound WITHOUT touching elements, and callers that
 //    act on `score > threshold` cannot distinguish it from the exact
-//    function;
-//  - TermSignature's screening property: a zero AND proves an empty
-//    intersection (the converse — collisions — is exercised and allowed).
+//    function.
 
 #include "text/keyword_set.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdint>
 #include <random>
 #include <set>
 #include <vector>
@@ -125,42 +123,6 @@ TEST(JaccardPropertyTest, BoundedHandlesEmptyInputs) {
                                       some.size(), 0.0));
   EXPECT_EQ(0.0, JaccardSorted(empty, empty));
   EXPECT_EQ(0u, SortedIntersectionSize(empty, some));
-}
-
-TEST(TermSignatureTest, ZeroAndProvesEmptyIntersection) {
-  std::mt19937_64 rng(1122334455);
-  int disjoint_sigs = 0;
-  for (int rep = 0; rep < 500; ++rep) {
-    const auto a = RandomSortedUnique(rng, 1 + rep % 12, 1u << 16);
-    const auto b = RandomSortedUnique(rng, 1 + (rep * 3) % 12, 1u << 16);
-    const uint64_t sa = TermSignature(a);
-    const uint64_t sb = TermSignature(b);
-    if ((sa & sb) == 0) {
-      ++disjoint_sigs;
-      // The screening property — the only direction the prefilters use.
-      EXPECT_EQ(0u, NaiveIntersection(a, b));
-    }
-    if (NaiveIntersection(a, b) > 0) {
-      EXPECT_NE(0u, sa & sb) << "a shared term must share a bit";
-    }
-  }
-  // The screen must actually screen on sparse random sets, not degenerate
-  // to all-pass (that would make the prefilters dead code).
-  EXPECT_GT(disjoint_sigs, 100);
-}
-
-TEST(TermSignatureTest, BasicShape) {
-  EXPECT_EQ(0u, TermSignature(nullptr, 0));
-  const std::vector<TermId> one = {42};
-  const uint64_t s1 = TermSignature(one);
-  EXPECT_NE(0u, s1);
-  // Exactly one bit for one term.
-  EXPECT_EQ(0u, s1 & (s1 - 1));
-  // Signature is a pure OR: supersets only add bits.
-  const std::vector<TermId> more = {7, 42, 99};
-  EXPECT_EQ(s1, TermSignature(more) & s1);
-  // Vector and span forms agree.
-  EXPECT_EQ(TermSignature(more), TermSignature(more.data(), more.size()));
 }
 
 }  // namespace
