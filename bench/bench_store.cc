@@ -548,8 +548,8 @@ int main() {
   // positions, each mutation publishing a new snapshot RCU-style. The
   // mutated store must then serve the same warm query suite with no
   // extra per-query work (counter parity) and a p50 comparable to a
-  // static store's: mutation cost is paid at publish time (per-cell
-  // fold + masked index rebuild), never smeared over the read path. The
+  // static store's: mutation cost is paid at publish time (the cell's
+  // copy + masked index rebuild), never smeared over the read path. The
   // static reference is a from-scratch build in a SECOND engine,
   // measured interleaved (ABBA) with the churned store after the wave:
   // the wave's 40k snapshot publishes shift allocator/cache state
@@ -653,7 +653,7 @@ int main() {
     // identical feature-side counters (mutations never touch features)
     // and pairs_tested within a hair (it tracks the 10% of rows whose
     // positions changed). A mutation-layer leak into the read path
-    // (e.g. an O(cell) fold or a geometry drift) shows up here exactly,
+    // (e.g. a geometry drift) shows up here exactly,
     // where a p50 comparison on this container drowns it in allocator
     // placement noise.
     struct SuiteWork {
@@ -775,7 +775,7 @@ int main() {
        << ", \"trace_file\": \"BENCH_store_trace.json\"},\n";
   // The whole run's registry footprint (counters verbatim, histograms as
   // count/p50/p99/max), so cross-PR tracking sees the serving-layer
-  // internals — queue waits, batch sizes, fold/compaction activity —
+  // internals — queue waits, batch sizes, materialize/compact activity —
   // next to the latency numbers they explain.
   {
     const metrics::RegistrySnapshot msnap = engine.MetricsSnapshot();
@@ -815,7 +815,7 @@ int main() {
               coalesce_pass ? "PASS" : "FAIL");
   // The mutation tentpole, gated in two halves. Work parity is the sharp
   // edge: identical per-query counters prove the mutated store's read
-  // path does no extra work (a fold or geometry leak would break it
+  // path does no extra work (a geometry leak would break it
   // exactly). The p50 ratio is the blunt edge: interleaved ABBA passes
   // against a same-process fresh rebuild measure 1.05-1.15x on this
   // container even with IDENTICAL logical data and identical counters —

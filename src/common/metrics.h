@@ -30,9 +30,10 @@ namespace spq::metrics {
 //     warm_ns / warm_batch_ns (histograms)  end-to-end warm latency
 //   spq.store.*     — CellStore (spq/cell_store.cc) + engine publishes.
 //     publishes                 snapshot swaps (build/mutation/open)
-//     cells_materialized        first-touch Serve() materializations
+//     cells_materialized        first-touch Serve() materializations,
+//                               a query's or a mutation's (mutations
+//                               materialize their cell first)
 //     cells_restored / cells_rebuilt   recovery restores / fallbacks
-//     delta_folds               Serve() folds of a non-empty delta log
 //     cells_compacted           partition compactions (auto + explicit)
 //     checkpoints / recoveries  whole-store persistence round-trips
 //     materialize_ns / checkpoint_ns / recover_ns (histograms)
@@ -210,9 +211,9 @@ struct RegistrySnapshot {
 /// stable for the process lifetime — metrics are never unregistered) and
 /// cache it, typically in a function-local static:
 ///
-///   static metrics::Counter& folds =
-///       metrics::MetricsRegistry::Global().counter("spq.store.delta_folds");
-///   folds.Increment();
+///   static metrics::Counter& checkpoints =
+///       metrics::MetricsRegistry::Global().counter("spq.store.checkpoints");
+///   checkpoints.Increment();
 ///
 /// Lookup takes a mutex (registration is rare and cold); recording on the
 /// returned object is lock-free. ResetForTest() zeroes every value but

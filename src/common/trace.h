@@ -25,8 +25,9 @@ namespace spq::trace {
 //                       snapshot pin inside each (spq/engine.cc)
 //   store.build / store.publish
 //                     — BuildStore dataset job; snapshot swap publication
-//   store.materialize / store.fold_delta / store.compact
-//                     — CellStore::Serve first-touch pipeline
+//   store.materialize / store.compact
+//                     — CellStore::Serve first touch (a query's or a
+//                       mutation's); a mutated partition's compaction
 //   store.checkpoint / store.recover
 //                     — whole-store persistence (spq/cell_store.cc)
 //   job.run / job.map / job.shuffle / job.reduce / map.task / reduce.task

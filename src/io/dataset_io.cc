@@ -3,8 +3,10 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <initializer_list>
+#include <limits>
 #include <sstream>
 
 #include "common/buffer.h"
@@ -207,9 +209,12 @@ StatusOr<core::Dataset> LoadDatasetTsv(const std::string& path,
       dataset.data.push_back(p);
     } else if (tag == "F") {
       core::FeatureObject f;
-      std::string keywords;
-      fields >> f.id >> f.pos.x >> f.pos.y >> keywords;
+      fields >> f.id >> f.pos.x >> f.pos.y;
       if (!fields) return parse_error("bad feature object row");
+      // SaveDatasetTsv writes an empty keyword field for a feature with no
+      // keywords, so the field is optional.
+      std::string keywords;
+      fields >> keywords;
       std::vector<text::TermId> ids;
       std::string token;
       std::istringstream kw_stream(keywords);
@@ -219,10 +224,17 @@ StatusOr<core::Dataset> LoadDatasetTsv(const std::string& path,
           ids.push_back(vocab->Intern(token));
         } else {
           char* end = nullptr;
-          unsigned long v = std::strtoul(token.c_str(), &end, 10);
+          const unsigned long long v =
+              std::strtoull(token.c_str(), &end, 10);
           if (end == nullptr || *end != '\0') {
             return parse_error("non-numeric term id '" + token +
                                "' without vocabulary");
+          }
+          // strtoull negates a '-' token and saturates past its range;
+          // either would otherwise wrap into a wrong 32-bit term.
+          if (token[0] == '-' ||
+              v > std::numeric_limits<text::TermId>::max()) {
+            return parse_error("term id '" + token + "' out of range");
           }
           ids.push_back(static_cast<text::TermId>(v));
         }

@@ -69,7 +69,6 @@ struct StoreRegistryMetrics {
   metrics::Counter& cells_materialized;
   metrics::Counter& cells_restored;
   metrics::Counter& cells_rebuilt;
-  metrics::Counter& delta_folds;
   metrics::Counter& cells_compacted;
   metrics::Counter& checkpoints;
   metrics::Counter& recoveries;
@@ -83,7 +82,6 @@ struct StoreRegistryMetrics {
         registry.counter("spq.store.cells_materialized"),
         registry.counter("spq.store.cells_restored"),
         registry.counter("spq.store.cells_rebuilt"),
-        registry.counter("spq.store.delta_folds"),
         registry.counter("spq.store.cells_compacted"),
         registry.counter("spq.store.checkpoints"),
         registry.counter("spq.store.recoveries"),
@@ -165,19 +163,7 @@ StatusOr<const CellStore::Partition*> CellStore::Serve(
   std::lock_guard<std::mutex> latch(part.latch);
   if (part.ready.load(std::memory_order_relaxed)) return &part;
   if (part.record_count == 0) {
-    // Nothing to serve: an empty cell, or a delta-mutated cell whose
-    // fold-time compaction leaves no rows (every base row tombstoned,
-    // every pending insert erased). Drop the persisted form and the delta
-    // whole — decoding rows just to discard them buys nothing.
-    part.data.Clear();
-    part.index.Reset();
-    part.segment.bytes.clear();
-    part.segment.bytes.shrink_to_fit();
-    part.delta_inserts.clear();
-    part.delta_tombstones.clear();
-    part.dead.clear();
-    part.dead_rows.clear();
-    part.index.Build(part.data.positions);
+    // An empty cell: nothing to decode or index.
     part.ready.store(true, std::memory_order_release);
     return &part;
   }
@@ -211,53 +197,24 @@ StatusOr<const CellStore::Partition*> CellStore::Serve(
   }
   // Idempotent under reduce-attempt retries: a prior pass that failed
   // mid-read (and returned without publishing `ready`) must not leave
-  // stale rows or a stale tombstone mask behind. The delta log itself is
-  // read-only until the fold succeeds, so retries replay it intact.
+  // stale rows behind. An unready partition is an untouched image
+  // (invariant M3), so its rows are exactly the segment's.
   part.data.Clear();
-  part.index.Reset();
-  part.dead.clear();
-  part.dead_rows.clear();
   part.data.Reserve(part.record_count);
-  if (part.segment.num_records > 0) {
-    mr::internal::FlatSegmentReader<CellKey, ShuffleObject> reader(
-        &part.segment);
-    while (reader.Next()) part.data.Add(reader.view());
-    SPQ_RETURN_NOT_OK(reader.status());
-    if (part.data.size() != part.segment.num_records) {
-      return Status::Internal("store partition truncated");
-    }
-    // The serving form replaces the persisted bytes (no double
-    // residency); segment.num_records keeps the base bookkeeping.
-    part.segment.bytes.clear();
-    part.segment.bytes.shrink_to_fit();
-  }
-  // Fold the delta log (no-op for clean partitions): append pending
-  // inserts, mark base tombstones, and compact if the mutation layer
-  // ordered it (invariants M2-M4).
-  {
-    TRACE_SPAN("store.fold_delta");
-    if (!part.delta_inserts.empty() || !part.delta_tombstones.empty()) {
-      StoreRegistryMetrics::Get().delta_folds.Increment();
-    }
-    SPQ_RETURN_NOT_OK(FoldDelta(part));
-  }
+  mr::internal::FlatSegmentReader<CellKey, ShuffleObject> reader(
+      &part.segment);
+  while (reader.Next()) part.data.Add(reader.view());
+  SPQ_RETURN_NOT_OK(reader.status());
   if (part.data.size() != part.record_count) {
-    return Status::Internal("store partition fold left " +
-                            std::to_string(part.data.size()) + " rows, " +
-                            std::to_string(part.record_count) + " expected");
+    return Status::Internal("store partition truncated");
   }
+  // The serving form replaces the persisted bytes (no double residency);
+  // segment.num_records keeps the base bookkeeping.
+  part.segment.bytes.clear();
+  part.segment.bytes.shrink_to_fit();
   // Build the index eagerly so serving never mutates a ready partition:
-  // the reduce cores' FrozenCellRef treats SyncIndex as a no-op. Dead
-  // rows are masked out of the bucket geometry so probes enumerate
-  // exactly the candidate sets a fresh build over the surviving rows
-  // would (invariant M2 — pairs_tested counts those sets).
-  part.index.Build(part.data.positions,
-                   part.dead.empty() ? nullptr : &part.dead);
-  // Nothing after this point can fail: the delta is folded in, release it.
-  part.delta_inserts.clear();
-  part.delta_inserts.shrink_to_fit();
-  part.delta_tombstones.clear();
-  part.delta_tombstones.shrink_to_fit();
+  // the reduce cores' FrozenCellRef treats SyncIndex as a no-op.
+  part.index.Build(part.data.positions);
   part.ready.store(true, std::memory_order_release);
   return &part;
 }
@@ -398,9 +355,6 @@ Status CellStore::RebuildPartition(geo::CellId cell, Partition& part) const {
     if (!x.is_data() || grid_.CellOf(x.pos) != cell) continue;
     rows.emplace_back(CellKey{cell, 0.0}, x);
   }
-  // Compare against the PERSISTED base rows: a mutated cell's serving
-  // row count legitimately differs (delta inserts / fold-time
-  // compaction), but the checkpoint image always holds the build rows.
   if (rows.size() != part.segment.num_records) {
     return Status::Internal(
         "store cell " + std::to_string(cell) + " rebuild found " +
@@ -740,68 +694,44 @@ std::unique_ptr<CellStore> CellStore::CloneShared() const {
   return next;
 }
 
-std::shared_ptr<CellStore::Partition> CellStore::CowPartition(
+StatusOr<std::shared_ptr<CellStore::Partition>> CellStore::CowPartition(
     geo::CellId cell) const {
-  const Partition& base = *cells_[cell];
+  // Invariant M3: materialize first, exactly as a query's first touch
+  // would. A ready partition is frozen, so the copy needs no lock.
+  SPQ_ASSIGN_OR_RETURN(const Partition* base, Serve(cell));
   auto part = std::make_shared<Partition>();
-  auto copy_serving_form = [&part, &base]() {
-    part->data = base.data;
-    part->index = base.index;
-    part->dead = base.dead;
-    part->dead_rows = base.dead_rows;
-    // Base bookkeeping travels along so checkpoints/restores of OTHER
-    // generations stay unaffected and Serve's invariants keep holding.
-    part->segment.num_records = base.segment.num_records;
-    part->segment.byte_size = base.segment.byte_size;
-    part->segment.pool_bytes = base.segment.pool_bytes;
-    part->record_count = base.record_count;
-    part->live_count = base.live_count;
-    // Readers only reach this partition through the engine's RCU snapshot
-    // publication, which release-orders everything above; relaxed is
-    // enough here.
-    part->ready.store(true, std::memory_order_relaxed);
-  };
-  if (base.ready.load(std::memory_order_acquire)) {
-    copy_serving_form();  // ready ⇒ frozen: lock-free copy
-    return part;
-  }
-  // Unready: a concurrent first-touch Serve on an older generation may be
-  // materializing `base` right now (it releases segment.bytes when done),
-  // so copy the persisted + delta form under the base latch.
-  std::lock_guard<std::mutex> latch(base.latch);
-  if (base.ready.load(std::memory_order_relaxed)) {
-    copy_serving_form();
-    return part;
-  }
-  part->segment = base.segment;
-  part->delta_inserts = base.delta_inserts;
-  part->delta_tombstones = base.delta_tombstones;
-  part->compact_on_fold = base.compact_on_fold;
-  part->record_count = base.record_count;
-  part->live_count = base.live_count;
+  part->data = base->data;
+  part->index = base->index;
+  part->dead = base->dead;
+  part->dead_rows = base->dead_rows;
+  // Base bookkeeping travels along so checkpoints/restores of OTHER
+  // generations stay unaffected.
+  part->segment.num_records = base->segment.num_records;
+  part->segment.byte_size = base->segment.byte_size;
+  part->segment.pool_bytes = base->segment.pool_bytes;
+  part->record_count = base->record_count;
+  part->live_count = base->live_count;
+  // Readers only reach this partition through the engine's RCU snapshot
+  // publication, which release-orders everything above; relaxed is enough
+  // here.
+  part->ready.store(true, std::memory_order_relaxed);
   return part;
-}
-
-void CellStore::DropDeadRows(Partition& part) {
-  if (!part.dead_rows.empty()) {
-    reduce_core::CellData live;
-    live.Reserve(static_cast<std::size_t>(part.live_count));
-    for (std::size_t i = 0; i < part.data.size(); ++i) {
-      if (part.dead[i]) continue;
-      live.ids.push_back(part.data.ids[i]);
-      live.positions.push_back(part.data.positions[i]);
-    }
-    part.data = std::move(live);
-    part.dead.clear();
-    part.dead_rows.clear();
-  }
-  part.record_count = part.data.size();
 }
 
 void CellStore::CompactPartition(Partition& part) {
   TRACE_SPAN("store.compact");
   StoreRegistryMetrics::Get().cells_compacted.Increment();
-  DropDeadRows(part);
+  reduce_core::CellData live;
+  live.Reserve(static_cast<std::size_t>(part.live_count));
+  for (std::size_t i = 0; i < part.data.size(); ++i) {
+    if (part.dead[i]) continue;
+    live.ids.push_back(part.data.ids[i]);
+    live.positions.push_back(part.data.positions[i]);
+  }
+  part.data = std::move(live);
+  part.dead.clear();
+  part.dead_rows.clear();
+  part.record_count = part.data.size();
   // A fresh Build gives exactly the structure a from-scratch store build
   // would serve for the surviving rows (invariant M4).
   part.index.Build(part.data.positions);
@@ -809,58 +739,14 @@ void CellStore::CompactPartition(Partition& part) {
 
 bool CellStore::MaybeCompact(Partition& part,
                              const MutationOptions& options) {
-  const bool is_ready = part.ready.load(std::memory_order_relaxed);
-  const uint64_t physical =
-      is_ready ? part.record_count
-               : part.segment.num_records + part.delta_inserts.size();
-  const uint64_t dead = physical - part.live_count;
+  const uint64_t dead = part.record_count - part.live_count;
   if (dead == 0) return false;
   if (static_cast<double>(dead) <
-      options.compact_dead_fraction * static_cast<double>(physical)) {
+      options.compact_dead_fraction * static_cast<double>(part.record_count)) {
     return false;
   }
-  if (is_ready) {
-    CompactPartition(part);
-  } else {
-    // Fold-time order (invariant M3/M4): record_count becomes the
-    // post-compaction row count now so Serve's fold check stays exact.
-    part.compact_on_fold = true;
-    part.record_count = part.live_count;
-  }
+  CompactPartition(part);
   return true;
-}
-
-Status CellStore::FoldDelta(Partition& part) {
-  const std::size_t base_rows = part.data.size();
-  // Tombstones name base rows only, each at most once (invariant M3): a
-  // delete that targeted a still-pending insert erased the insert instead
-  // of logging a tombstone.
-  if (!part.delta_tombstones.empty()) {
-    part.dead.assign(base_rows, 0);
-    part.dead_rows.reserve(part.delta_tombstones.size());
-    for (ObjectId id : part.delta_tombstones) {
-      bool found = false;
-      for (std::size_t i = 0; i < base_rows; ++i) {
-        if (part.data.ids[i] == id && !part.dead[i]) {
-          part.dead[i] = 1;
-          part.dead_rows.push_back(static_cast<uint32_t>(i));
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        return Status::Internal("store delta tombstone names object " +
-                                std::to_string(id) +
-                                " absent from its cell's base rows");
-      }
-    }
-  }
-  for (const ShuffleObject& row : part.delta_inserts) {
-    part.data.Add(row);
-    if (!part.dead.empty()) part.dead.push_back(0);
-  }
-  if (part.compact_on_fold) DropDeadRows(part);
-  return Status::OK();
 }
 
 StatusOr<std::unique_ptr<CellStore>> CellStore::WithInsert(
@@ -872,32 +758,21 @@ StatusOr<std::unique_ptr<CellStore>> CellStore::WithInsert(
   // edge cell, the same rule the build mapper applies — so a fresh build
   // over the equivalent dataset places the row identically.
   const geo::CellId cell = grid_.CellOf(object.pos);
+  // Copied before the clone, so the new generation's restore/rebuild
+  // tallies include this mutation's first touch.
+  SPQ_ASSIGN_OR_RETURN(std::shared_ptr<Partition> part, CowPartition(cell));
+  part->data.Add(object);
+  if (!part->dead.empty()) part->dead.push_back(0);
+  part->record_count = part->data.size();
+  ++part->live_count;
+  // Fresh rebuild: the bucket geometry (live bbox, side ≈ √live) must
+  // equal what a from-scratch build over the logical rows derives, or
+  // probe candidate supersets — and therefore pairs_tested — drift from
+  // the rebuild reference (invariant M2). O(cell rows), amortized fine:
+  // cells hold ~n/cells rows.
+  part->index.Build(part->data.positions,
+                    part->dead.empty() ? nullptr : &part->dead);
   std::unique_ptr<CellStore> next = CloneShared();
-  std::shared_ptr<Partition> part = CowPartition(cell);
-  if (part->ready.load(std::memory_order_relaxed)) {
-    part->data.Add(object);
-    if (!part->dead.empty()) part->dead.push_back(0);
-    part->record_count = part->data.size();
-    ++part->live_count;
-    // Fresh rebuild, not a pending-list Append: the bucket geometry (live
-    // bbox, side ≈ √live) must equal what a from-scratch build over the
-    // logical rows derives, or probe candidate supersets — and therefore
-    // pairs_tested — drift from the rebuild reference (invariant M2).
-    // O(cell rows), amortized fine: cells hold ~n/cells rows.
-    part->index.Build(part->data.positions,
-                      part->dead.empty() ? nullptr : &part->dead);
-  } else {
-    ShuffleObject row;
-    row.kind = ShuffleObject::kData;
-    row.id = object.id;
-    row.pos = object.pos;
-    part->delta_inserts.push_back(std::move(row));
-    ++part->live_count;
-    part->record_count =
-        part->compact_on_fold
-            ? part->live_count
-            : part->segment.num_records + part->delta_inserts.size();
-  }
   if (MaybeCompact(*part, options)) ++next->cells_compacted_;
   next->cells_[cell] = std::move(part);
   ++next->data_objects_;
@@ -911,57 +786,29 @@ StatusOr<std::unique_ptr<CellStore>> CellStore::WithDelete(
   if (cell >= cells_.size()) {
     return Status::InvalidArgument("cell id outside the store grid");
   }
-  std::unique_ptr<CellStore> next = CloneShared();
-  std::shared_ptr<Partition> part = CowPartition(cell);
-  if (part->live_count == 0) {
+  SPQ_ASSIGN_OR_RETURN(std::shared_ptr<Partition> part, CowPartition(cell));
+  // Back-scan: a re-inserted id appends after its tombstoned predecessor,
+  // so the LIVE instance is always the last match.
+  std::size_t row = part->data.size();
+  for (std::size_t i = part->data.size(); i-- > 0;) {
+    if (part->data.ids[i] == id && (part->dead.empty() || !part->dead[i])) {
+      row = i;
+      break;
+    }
+  }
+  if (row == part->data.size()) {
     return Status::NotFound("data object " + std::to_string(id) +
                             " has no live row in cell " +
                             std::to_string(cell));
   }
-  if (part->ready.load(std::memory_order_relaxed)) {
-    // Back-scan: a re-inserted id appends after its tombstoned
-    // predecessor, so the LIVE instance is always the last match.
-    std::size_t row = part->data.size();
-    for (std::size_t i = part->data.size(); i-- > 0;) {
-      if (part->data.ids[i] == id &&
-          (part->dead.empty() || !part->dead[i])) {
-        row = i;
-        break;
-      }
-    }
-    if (row == part->data.size()) {
-      return Status::NotFound("data object " + std::to_string(id) +
-                              " has no live row in cell " +
-                              std::to_string(cell));
-    }
-    if (part->dead.empty()) part->dead.assign(part->data.size(), 0);
-    part->dead[row] = 1;
-    part->dead_rows.push_back(static_cast<uint32_t>(row));
-    --part->live_count;
-    // Same geometry contract as the insert path: the dead row must leave
-    // the bucket geometry immediately (invariant M2).
-    part->index.Build(part->data.positions, &part->dead);
-  } else {
-    auto it = std::find_if(
-        part->delta_inserts.begin(), part->delta_inserts.end(),
-        [id](const ShuffleObject& o) { return o.id == id; });
-    if (it != part->delta_inserts.end()) {
-      // Deleting a still-pending insert erases it: absent at fold time ≡
-      // tombstoned at birth, and invariant M3's "tombstones name base
-      // rows" stays true.
-      part->delta_inserts.erase(it);
-    } else {
-      // Presence in the base rows is the caller's (engine locator's)
-      // contract; a lie surfaces loudly as FoldDelta's Internal error at
-      // the cell's first touch.
-      part->delta_tombstones.push_back(id);
-    }
-    --part->live_count;
-    part->record_count =
-        part->compact_on_fold
-            ? part->live_count
-            : part->segment.num_records + part->delta_inserts.size();
-  }
+  if (part->dead.empty()) part->dead.assign(part->data.size(), 0);
+  part->dead[row] = 1;
+  part->dead_rows.push_back(static_cast<uint32_t>(row));
+  --part->live_count;
+  // Same geometry contract as the insert path: the dead row must leave
+  // the bucket geometry immediately (invariant M2).
+  part->index.Build(part->data.positions, &part->dead);
+  std::unique_ptr<CellStore> next = CloneShared();
   if (MaybeCompact(*part, options)) ++next->cells_compacted_;
   next->cells_[cell] = std::move(part);
   --next->data_objects_;
@@ -973,18 +820,12 @@ StatusOr<std::unique_ptr<CellStore>> CellStore::WithDelete(
 StatusOr<std::unique_ptr<CellStore>> CellStore::Compacted() const {
   std::unique_ptr<CellStore> next = CloneShared();
   for (geo::CellId cell = 0; cell < cells_.size(); ++cell) {
-    // Dirty ⇔ live and physical row counts disagree. Cells already under
-    // a fold-time compaction order keep record_count == live_count and
-    // were tallied when the order was placed.
+    // Dirty ⇔ live and physical row counts disagree; only a mutation's
+    // ready copy can hold tombstones, so CowPartition restores nothing.
     const Partition& base = *cells_[cell];
     if (base.live_count == base.record_count) continue;
-    std::shared_ptr<Partition> part = CowPartition(cell);
-    if (part->ready.load(std::memory_order_relaxed)) {
-      CompactPartition(*part);
-    } else {
-      part->compact_on_fold = true;
-      part->record_count = part->live_count;
-    }
+    SPQ_ASSIGN_OR_RETURN(std::shared_ptr<Partition> part, CowPartition(cell));
+    CompactPartition(*part);
     next->cells_[cell] = std::move(part);
     ++next->cells_compacted_;
   }

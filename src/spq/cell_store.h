@@ -36,10 +36,9 @@ namespace spq::core {
 ///     (FlatSegment layout from merge.h — key rows / payloads / TermId
 ///     pool), exactly as a reduce task would have received them;
 ///   - `data` + `index`: the serving form, materialized lazily from the
-///     segment at the cell's first query touch — the SoA CellData the
-///     reduce cores join against plus one cached CellGridIndex that is
-///     maintained incrementally (CellGridIndex::Sync) instead of being
-///     rebuilt per reduce group.
+///     segment at the cell's first touch, a query's or a mutation's — the
+///     SoA CellData the reduce cores join against plus one CellGridIndex,
+///     built once at materialization instead of per reduce group.
 ///
 /// Warm queries then skip the MapReduce job altogether (see RunWarmQuery /
 /// RunWarmBatch): the features that share a term with the query, found
@@ -65,7 +64,8 @@ namespace spq::core {
 ///     checkpoint / rebuild / decode + index build) runs under the cell's
 ///     private mutex with double-checked `ready` (release-published,
 ///     acquire-read), so cold cells stay cheap, concurrent first touches
-///     never race, and a failed restore retries on the next touch.
+///     (queries' and a mutation's, invariant M3) never race, and a failed
+///     restore retries on the next touch.
 ///   - Serve() and Checkpoint() are const and safe to call concurrently
 ///     with each other and themselves (Checkpoint takes a cell's latch
 ///     only while the cell is not yet ready). Concurrent Checkpoints to
@@ -98,11 +98,12 @@ namespace spq::core {
 ///     mid-append loses at most the record being written.
 ///  3. Cell-granular lazy recovery. Recover() reads only the WAL and one
 ///     manifest — O(cells) metadata, no cell payloads. Each cell's
-///     partition is re-read from its checkpoint file at first query
-///     touch (Serve), verified against the manifest's per-cell byte size
-///     and CRC-32C and the flat-segment structure checks, and then
-///     materialized exactly like a built partition. Recovery cost is
-///     proportional to the cells a query touches, not store size.
+///     partition is re-read from its checkpoint file at first touch
+///     (Serve, from a query or a mutation — invariant M3), verified
+///     against the manifest's per-cell byte size and CRC-32C and the
+///     flat-segment structure checks, and then materialized exactly like
+///     a built partition. Recovery cost is proportional to the cells
+///     queries and mutations touch, not store size.
 ///  4. Verified or rebuilt, never garbage. A cell file that fails
 ///     verification (every DFS replica corrupt, length drift) is loudly
 ///     logged, counted (cells_rebuilt()), and rebuilt from the attached
@@ -131,29 +132,29 @@ namespace spq::core {
 ///      anything keyword-related.
 ///  M2. Rebuild bit-identity. The logically-equivalent dataset of a
 ///      mutated store is "surviving base rows in original dataset order,
-///      then inserts in insert order". Inserts APPEND (to the serving
-///      arrays of a materialized cell, or to the cell's delta log
-///      otherwise) and deletes TOMBSTONE in place, so a cell's physical
-///      row order always equals the order a fresh BuildStore() over the
-///      equivalent dataset would produce. Tombstoned rows are masked out
-///      of the reduce cores' per-query scratch before any pair is counted
-///      (FrozenCellRef::DeadRows) — provably equivalent to physical
-///      absence for results and every counter over a given candidate
-///      set — and a mutation on a materialized cell rebuilds its mini-grid
+///      then inserts in insert order". Inserts APPEND to the cell's
+///      serving arrays and deletes TOMBSTONE in place, so a cell's
+///      physical row order always equals the order a fresh BuildStore()
+///      over the equivalent dataset would produce. Tombstoned rows are
+///      masked out of the reduce cores' per-query scratch before any pair
+///      is counted (FrozenCellRef::DeadRows) — provably equivalent to
+///      physical absence for results and every counter over a given
+///      candidate set — and every mutation rebuilds its cell's mini-grid
 ///      index with the dead rows masked OUT of the bucket geometry
 ///      (CellGridIndex's dead-masked Build), so indexed probes enumerate
 ///      exactly the candidate supersets a fresh build over the surviving
-///      rows enumerates. pairs_tested counts those supersets: an
-///      incremental pending-list append or a geometry still spanning dead
-///      rows would drift the counter even though results stay correct,
-///      which is why the serving index is rebuilt fresh per mutation.
-///  M3. Delta logs fold at first touch. A mutation against a cell that is
-///      not materialized (never served, or recovered-lazy) costs O(delta):
-///      inserts append to `delta_inserts`, deletes of base rows append to
-///      `delta_tombstones`, and a delete of a still-pending insert simply
-///      erases it. Tombstones therefore always name base rows, each at
-///      most once — Serve() folds base + delta into the serving form under
-///      the cell latch, exactly once.
+///      rows enumerates. pairs_tested counts those supersets: a geometry
+///      still spanning dead rows, or derived before the appended ones,
+///      would drift the counter even though results stay correct, which
+///      is why the serving index is rebuilt fresh per mutation.
+///  M3. Mutations materialize first. A mutation serves its cell before
+///      it edits it — the same latched first touch a query makes, so a
+///      recovered cell is restored from its checkpoint, or rebuilt
+///      (invariant 4) — and then edits a private copy of the ready
+///      serving form. A partition that is not ready is therefore always
+///      an untouched build or checkpoint image, and a mutation whose cell
+///      cannot be materialized fails with Serve()'s error and publishes
+///      nothing.
 ///  M4. Compaction = fresh layout. When a cell's dead fraction reaches
 ///      MutationOptions::compact_dead_fraction (or on Compacted()), the
 ///      partition is rewritten live-rows-only with a freshly built index —
@@ -173,11 +174,12 @@ class CellStore {
   /// released — and are frozen from then on.
   ///
   /// The mutation layer NEVER mutates a partition reachable from a
-  /// published store: WithInsert/WithDelete copy the partition (under its
-  /// latch when unready), apply the op to the private copy, and install it
-  /// in the next generation's cell vector. A ready partition's serving
-  /// arrays may therefore differ from `segment` (appended rows, dead
-  /// rows); `segment.num_records` always counts the PERSISTED base rows.
+  /// published store: WithInsert/WithDelete serve the partition (invariant
+  /// M3), copy its frozen serving form, apply the op to the private copy,
+  /// and install it in the next generation's cell vector. A ready
+  /// partition's serving arrays may therefore differ from `segment`
+  /// (appended rows, dead rows); `segment.num_records` always counts the
+  /// PERSISTED base rows.
   struct Partition {
     mapreduce::FlatSegment segment;    ///< persisted form; bytes released
                                        ///< once materialized
@@ -190,14 +192,6 @@ class CellStore {
     /// mask out per query (order irrelevant).
     std::vector<uint8_t> dead;
     std::vector<uint32_t> dead_rows;
-    /// Delta log of a NOT-yet-materialized partition (invariant M3),
-    /// folded into the serving form at first Serve touch.
-    std::vector<ShuffleObject> delta_inserts;
-    std::vector<ObjectId> delta_tombstones;
-    /// Fold-time compaction order (set when the dead fraction crossed the
-    /// threshold while the partition was unready); `record_count` is
-    /// already the post-compaction row count when this is set.
-    bool compact_on_fold = false;
     /// Materialization gate: acquire-load true ⇒ data/index are complete
     /// and immutable. The mutex serializes the one-time materialization
     /// (std::once_flag semantics, but re-armable on failure).
@@ -268,27 +262,28 @@ class CellStore {
     /// Compact a cell (drop tombstoned rows, rebuild its index) once its
     /// dead fraction — dead rows over physical rows — reaches this value.
     /// Values above 1.0 disable automatic compaction (Compacted() still
-    /// folds on demand).
+    /// compacts on demand).
     double compact_dead_fraction = 0.3;
   };
 
   /// Derives a new store generation with `object` appended to its cell
-  /// (invariants M1–M4 above). The caller owns id uniqueness among live
-  /// objects (the engine's locator enforces it) and publication of the
-  /// returned generation; `this` is never modified and keeps serving.
+  /// (invariants M1–M4 above), materializing the cell first. The caller
+  /// owns id uniqueness among live objects (the engine's locator enforces
+  /// it) and publication of the returned generation; `this` is never
+  /// modified and keeps serving.
   StatusOr<std::unique_ptr<CellStore>> WithInsert(
       const DataObject& object, const MutationOptions& options) const;
 
-  /// Derives a new store generation with the live row of `id` tombstoned.
-  /// `cell` is the object's single placement (the engine resolves it via
-  /// its id→position locator + grid.CellOf). NotFound when no live row of
-  /// that id exists in the cell.
+  /// Derives a new store generation with the live row of `id` tombstoned,
+  /// materializing the cell first. `cell` is the object's single placement
+  /// (the engine resolves it via its id→position locator +
+  /// grid.CellOf). NotFound when no live row of that id exists in the
+  /// cell.
   StatusOr<std::unique_ptr<CellStore>> WithDelete(
       ObjectId id, geo::CellId cell, const MutationOptions& options) const;
 
   /// Derives a new store generation with every tombstone-bearing cell
-  /// compacted (materialized cells eagerly; unready cells at their first
-  /// Serve touch, invariant M4). The generation remains `mutated()` — the
+  /// compacted (invariant M4). The generation remains `mutated()` — the
   /// logical dataset still differs from the build input, so invariant M5
   /// keeps checkpoints refused.
   StatusOr<std::unique_ptr<CellStore>> Compacted() const;
@@ -319,10 +314,11 @@ class CellStore {
     return cells_[cell]->record_count;
   }
 
-  /// Serving access for one reduce group: materializes the partition on
-  /// first touch (latched — see the thread-safety contract above) and
-  /// returns it frozen. Safe for any number of concurrent callers; the
-  /// returned partition stays owned by the store and is immutable.
+  /// Serving access for one reduce group, and a mutation's first step
+  /// (invariant M3): materializes the partition on first touch (latched —
+  /// see the thread-safety contract above) and returns it frozen. Safe
+  /// for any number of concurrent callers; the returned partition stays
+  /// owned by the store and is immutable.
   StatusOr<const Partition*> Serve(geo::CellId cell) const;
 
   /// True when this store was opened from a checkpoint (Recover).
@@ -357,24 +353,18 @@ class CellStore {
   /// New generation sharing every Partition and all store metadata with
   /// this one (cell-level COW starting point for the mutation layer).
   std::unique_ptr<CellStore> CloneShared() const;
-  /// Private copy of one cell's partition, safe against a concurrent
-  /// first-touch Serve on an older generation: a ready base is copied
-  /// lock-free in serving form (the copy stays ready); an unready base is
-  /// copied in persisted+delta form under the base latch.
-  std::shared_ptr<Partition> CowPartition(geo::CellId cell) const;
-  /// Applies the compaction policy to a freshly copied (private)
-  /// partition; returns true when the cell was (or will be, at fold time)
-  /// compacted.
+  /// Private, ready copy of one cell's partition for a mutation: serves
+  /// the cell first (invariant M3 — the latched first touch, which
+  /// restores or rebuilds a recovered cell), then copies the frozen
+  /// serving form without a lock. Serve()'s error when the cell cannot be
+  /// materialized.
+  StatusOr<std::shared_ptr<Partition>> CowPartition(geo::CellId cell) const;
+  /// Compacts a private partition once its dead fraction reaches the
+  /// policy's threshold; returns true when it did.
   static bool MaybeCompact(Partition& part, const MutationOptions& options);
-  /// Rewrites a materialized partition live-rows-only (no index rebuild;
-  /// Serve's fold path builds the index afterwards anyway).
-  static void DropDeadRows(Partition& part);
-  /// DropDeadRows + fresh index build — full compaction of a materialized
-  /// partition (invariant M4).
+  /// Rewrites a private partition that holds tombstones live-rows-only,
+  /// with a fresh index build (invariant M4).
   static void CompactPartition(Partition& part);
-  /// Folds a partition's delta log into its freshly decoded serving form
-  /// (Serve, under the cell latch; invariant M3).
-  static Status FoldDelta(Partition& part);
 
   /// The cell's persistable flat-segment image, from whichever form the
   /// partition is currently in (see Checkpoint doc). Empty for empty

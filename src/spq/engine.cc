@@ -338,9 +338,10 @@ Status SpqEngine::Delete(ObjectId id) {
     return Status::NotFound("Delete: no live data object with id " +
                             std::to_string(id));
   }
-  // The locator pins the id->cell routing (the store's delta logs are
-  // per-cell); CellOf clamps exactly as the build map phase did, so an
-  // out-of-bounds insert is deleted from the same edge cell it landed in.
+  // The locator pins the id->cell routing (the store tombstones a row in
+  // its one cell, invariant M1); CellOf clamps exactly as the build map
+  // phase did, so an out-of-bounds insert is deleted from the same edge
+  // cell it landed in.
   const geo::CellId cell = snap->store->grid().CellOf(it->second);
   CellStore::MutationOptions mut;
   mut.compact_dead_fraction = options_.compact_dead_fraction;

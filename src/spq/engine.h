@@ -53,18 +53,15 @@ struct ServingOptions {
   uint32_t max_batch = 16;
   /// Latency budget: a non-full batch closes once its oldest admitted
   /// query has waited this long. 0 disables coalescing-by-time (a batch
-  /// closes as soon as an executor is free to take what is queued). The
-  /// door clamps it to [0, 60000] ms (one minute), NaN counting as 0: the
-  /// deadline is an integer clock duration, which +inf or 1e300 ms would
-  /// overflow.
+  /// closes as soon as the door's one executor is free to take what is
+  /// queued). The door clamps it to [0, 60000] ms (one minute), NaN
+  /// counting as 0: the deadline is an integer clock duration, which +inf
+  /// or 1e300 ms would overflow.
   double max_wait_ms = 2.0;
   /// Bounded admission queue: queries beyond this many waiting are
   /// rejected with Unavailable (counted in ServingStats::rejected).
   /// 0 rejects every submission — useful to test backpressure.
   uint32_t queue_capacity = 256;
-  /// Executor threads draining the queue. Each runs one batch job at a
-  /// time; more executors overlap independent batches.
-  uint32_t num_executors = 1;
 };
 
 /// \brief Tunables of a query execution on the simulated cluster.
@@ -324,7 +321,10 @@ class SpqEngine {
   /// invariant M2 and mutation_equivalence_test.cc. The object's id must
   /// not collide with a live data object (InvalidArgument); its position
   /// must be finite. Points outside the build bounds land in the clamped
-  /// edge cell, exactly where a rebuild would place them.
+  /// edge cell, exactly where a rebuild would place them. The cell is
+  /// materialized first, as a query's first touch would (on a recovered
+  /// store: restored from its checkpoint, or rebuilt), and its error is
+  /// returned when that fails (cell_store.h invariant M3).
   ///
   /// Mutations are serialized internally (safe from any thread, including
   /// concurrently with queries); BuildStore()/OpenStore() discard all
@@ -333,10 +333,11 @@ class SpqEngine {
   Status Insert(const DataObject& object);
 
   /// Deletes the live data object with `id` (NotFound when absent):
-  /// tombstones it in its cell's delta log and publishes the mutated
-  /// generation. Same serialization, publication and equivalence contract
-  /// as Insert(). The cell compacts automatically when its dead fraction
-  /// reaches options().compact_dead_fraction.
+  /// tombstones its row in a copy of its materialized cell and publishes
+  /// the mutated generation. Same materialization, serialization,
+  /// publication and equivalence contract as Insert(). The cell compacts
+  /// automatically when its dead fraction reaches
+  /// options().compact_dead_fraction.
   Status Delete(ObjectId id);
 
   /// Compacts every cell that carries tombstones, regardless of the dead

@@ -76,29 +76,22 @@ struct CellData {
   }
 };
 
-/// \brief SoA mini-grid over one reduce group's data-object positions.
-/// Built lazily at the first feature probe from the positions accumulated
-/// so far; positions that arrive later (late data in degenerate
-/// secondary-key ties, or rows appended to a resident store partition)
-/// are absorbed *incrementally* via Sync/Append — they land in a small
-/// pending list consulted by every probe and are folded into the CSR
-/// arrays once the list outgrows kMaxPending, so late arrivals no longer
-/// trigger an O(n) rebuild each.
+/// \brief SoA mini-grid over one reduce group's data-object positions,
+/// built in one pass over them: once at a resident store partition's
+/// materialization (and again per mutation of its private copy), or at a
+/// cold group's first feature probe (OwnedCellRef::SyncIndex).
 ///
 /// Layout is a counting-sorted CSR: `starts_` offsets into `items_`,
 /// which holds data indices bucket-major and ascending within each bucket
-/// (counting sort is stable, pending entries are appended in index order
-/// and every pending index is greater than every folded one). The side
-/// length targets ~1 object per bucket (side ≈ √n, so the offsets array
-/// stays O(n)); fine buckets keep the one-bucket safety pad below cheap.
-/// With one bucket the probe degenerates to the full scan, so tiny groups
-/// pay no indexing overhead beyond the O(n) build.
+/// (counting sort is stable). The side length targets ~1 object per
+/// bucket (side ≈ √n, so the offsets array stays O(n)); fine buckets keep
+/// the one-bucket safety pad below cheap. With one bucket the probe
+/// degenerates to the full scan, so tiny groups pay no indexing overhead
+/// beyond the O(n) build.
 ///
-/// Appended positions may fall outside the bounding box the bucket
-/// geometry was derived from; they are clamped into the boundary buckets.
-/// That is safe for the probe contract: a probe whose [p ± r] square
-/// extends past the bounds has its bucket range clamped onto the same
-/// boundary buckets, so clamped points are always visited.
+/// Probe points may lie arbitrarily far outside the bounding box the
+/// bucket geometry was derived from (duplicated features do); their
+/// bucket ranges are clamped onto the boundary buckets.
 ///
 /// A radius probe walks the buckets overlapping the axis-aligned square
 /// [p ± r], padded by one bucket per side so a one-ulp rounding slip in
@@ -117,7 +110,6 @@ class CellGridIndex {
   void Build(const std::vector<geo::Point>& positions,
              const std::vector<uint8_t>* dead = nullptr) {
     if (dead != nullptr && dead->empty()) dead = nullptr;
-    pending_.clear();
     indexed_n_ = positions.size();
     contiguous_ = dead == nullptr;
     std::size_t live_n = 0;
@@ -136,7 +128,6 @@ class CellGridIndex {
       }
       ++live_n;
     }
-    built_n_ = live_n;
     if (live_n == 0) {
       if (indexed_n_ == 0) return;
       // All rows masked: serve an empty one-bucket index (probes find
@@ -175,57 +166,9 @@ class CellGridIndex {
     }
   }
 
-  /// Number of positions currently indexed (folded + pending); callers
-  /// compare against cell.size() to detect staleness.
+  /// Number of positions the last Build covered (live + masked); callers
+  /// compare against cell.size() to detect growth.
   std::size_t built_size() const { return indexed_n_; }
-
-  /// Brings the index up to date with `positions`: builds on first use,
-  /// absorbs an appended tail incrementally, rebuilds if the vector
-  /// shrank. The index only tracks *growth* — a caller that mutates or
-  /// replaces already-indexed positions must call Reset() first.
-  void Sync(const std::vector<geo::Point>& positions) {
-    if (positions.size() == indexed_n_) return;
-    if (indexed_n_ == 0 || positions.size() < indexed_n_) {
-      Build(positions);
-      return;
-    }
-    Append(positions);
-  }
-
-  /// Indexes positions[built_size()..positions.size()). New entries go to
-  /// the pending list (probes consult it linearly); once it outgrows
-  /// kMaxPending, everything folds into the CSR arrays in one O(n + side²)
-  /// stable merge — appended indices are strictly greater than folded
-  /// ones, so each bucket stays ascending without re-sorting.
-  void Append(const std::vector<geo::Point>& positions) {
-    if (indexed_n_ == 0) {
-      Build(positions);
-      return;
-    }
-    for (std::size_t i = indexed_n_; i < positions.size(); ++i) {
-      pending_.emplace_back(static_cast<uint32_t>(BucketOf(positions[i])),
-                            static_cast<uint32_t>(i));
-    }
-    indexed_n_ = positions.size();
-    if (pending_.size() > kMaxPending) FoldPending();
-  }
-
-  /// Forgets everything; the next Sync/Build starts from scratch. Required
-  /// when previously indexed positions were replaced in place (Sync alone
-  /// cannot see that — it compares sizes only). Keeps the buffers'
-  /// capacity — the batched reducer Resets once per cell.
-  void Reset() {
-    starts_.clear();
-    items_.clear();
-    cursor_.clear();
-    pending_.clear();
-    side_ = 0;
-    min_x_ = min_y_ = 0.0;
-    inv_w_ = inv_h_ = 0.0;
-    built_n_ = 0;
-    indexed_n_ = 0;
-    contiguous_ = true;
-  }
 
   /// Invokes `fn(i)` for every data index i whose position can lie within
   /// distance r of p (bucket-granular superset of the r-disk). Each index
@@ -244,18 +187,14 @@ class CellGridIndex {
         }
       }
     }
-    for (const auto& [b, idx] : pending_) {
-      if (range.Contains(b % side_, b / side_)) fn(idx);
-    }
   }
 
   /// The ForEachCandidate set in ascending data-index order (eSPQsco's
   /// Lemma-3 first-hit reporting depends on it). `out` is caller-owned
   /// scratch, reused across probes. A probe covering every bucket (r
   /// comparable to the cell edge) short-circuits to 0..n-1 — ascending by
-  /// construction, and pending indices are exactly the trailing range —
-  /// instead of paying a per-feature collect + sort just to reproduce that
-  /// order.
+  /// construction — instead of paying a per-feature collect + sort just to
+  /// reproduce that order.
   void SortedCandidates(const geo::Point& p, double r,
                         std::vector<uint32_t>* out) const {
     out->clear();
@@ -279,53 +218,18 @@ class CellGridIndex {
         }
       }
     }
-    for (const auto& [b, idx] : pending_) {
-      if (range.Contains(b % side_, b / side_)) out->push_back(idx);
-    }
     std::sort(out->begin(), out->end());
   }
 
  private:
   static constexpr uint32_t kMaxSide = 256;
-  /// Pending-list bound: probes pay O(|pending|) extra, so the list stays
-  /// small; folding costs O(n + side²) amortized over kMaxPending appends.
-  static constexpr std::size_t kMaxPending = 32;
 
   /// Inclusive bucket rectangle overlapping the axis-aligned square
   /// [p ± r], padded one bucket outward (see class comment).
   struct BucketRange {
     uint32_t x_lo, x_hi, y_lo, y_hi;
-    bool Contains(uint32_t bx, uint32_t by) const {
-      return bx >= x_lo && bx <= x_hi && by >= y_lo && by <= y_hi;
-    }
   };
 
-  /// Merges the pending entries into the CSR arrays. One stable pass:
-  /// pending is sorted by (bucket, index) and each bucket's newcomers are
-  /// appended after its existing (smaller) indices, so the bucket-ascending
-  /// invariant survives without touching the already-sorted prefix.
-  void FoldPending() {
-    std::sort(pending_.begin(), pending_.end());
-    std::vector<uint32_t> merged(items_.size() + pending_.size());
-    std::vector<uint32_t> new_starts(starts_.size(), 0);
-    std::size_t p = 0;
-    std::size_t out = 0;
-    const std::size_t num_buckets = starts_.size() - 1;
-    for (std::size_t b = 0; b < num_buckets; ++b) {
-      new_starts[b] = static_cast<uint32_t>(out);
-      for (uint32_t k = starts_[b]; k < starts_[b + 1]; ++k) {
-        merged[out++] = items_[k];
-      }
-      while (p < pending_.size() && pending_[p].first == b) {
-        merged[out++] = pending_[p++].second;
-      }
-    }
-    new_starts[num_buckets] = static_cast<uint32_t>(out);
-    items_ = std::move(merged);
-    starts_ = std::move(new_starts);
-    built_n_ = indexed_n_;
-    pending_.clear();
-  }
   BucketRange ProbeRange(const geo::Point& p, double r) const {
     return BucketRange{LowIdx((p.x - r - min_x_) * inv_w_),
                        HighIdx((p.x + r - min_x_) * inv_w_),
@@ -337,16 +241,17 @@ class CellGridIndex {
     return static_cast<std::size_t>(MidIdx((p.y - min_y_) * inv_h_)) * side_ +
            MidIdx((p.x - min_x_) * inv_w_);
   }
-  /// Bucket of a coordinate, clamped onto the boundary buckets. The clamp
-  /// happens in the double domain BEFORE the integer cast: appended
-  /// positions may lie arbitrarily far outside the build bbox, and casting
-  /// a double >= 2^32 to uint32_t is undefined behavior.
+  /// Bucket of a coordinate inside the build bbox, clamped onto the
+  /// boundary buckets (the bbox's max edge scales to exactly side_).
   uint32_t MidIdx(double scaled) const {
     if (!(scaled > 0.0)) return 0;
     const double hi = static_cast<double>(side_ - 1);
     return static_cast<uint32_t>(scaled < hi ? scaled : hi);
   }
-  /// Probe range ends: floor, padded one bucket outward, clamped.
+  /// Probe range ends: floor, padded one bucket outward, clamped. The
+  /// clamp happens in the double domain BEFORE the integer cast: probe
+  /// points may lie arbitrarily far outside the build bbox, and casting a
+  /// double >= 2^32 to uint32_t is undefined behavior.
   uint32_t LowIdx(double scaled) const {
     const double f = std::floor(scaled) - 1.0;
     if (!(f > 0.0)) return 0;
@@ -366,11 +271,7 @@ class CellGridIndex {
   std::vector<uint32_t> starts_;  ///< CSR offsets, side_² + 1 entries
   std::vector<uint32_t> items_;   ///< data indices, bucket-major, ascending
   std::vector<uint32_t> cursor_;  ///< build scratch
-  /// Appended-but-unfolded entries as (bucket, data index); indices are
-  /// exactly [built_n_, indexed_n_), in append (= ascending) order.
-  std::vector<std::pair<uint32_t, uint32_t>> pending_;
-  std::size_t built_n_ = 0;    ///< rows folded into the CSR arrays
-  std::size_t indexed_n_ = 0;  ///< physical rows covered (incl. pending)
+  std::size_t indexed_n_ = 0;     ///< physical rows covered (live + masked)
   /// False after a dead-masked Build: items_ are then a strict subset of
   /// 0..indexed_n_-1 and the full-cover iota short-circuit is invalid.
   bool contiguous_ = true;
@@ -380,9 +281,13 @@ class CellGridIndex {
 /// The ref decides, at compile time, whether the group may still grow:
 ///
 ///  - OwnedCellRef: mutable cell + index, private to the calling task. Data
-///    records streaming through the group accumulate via Add and the index
-///    lazily Syncs against the grown positions before each probe. Used by
-///    the cold path (fresh locals per group, see RunReduceOwned).
+///    records streaming through the group accumulate via Add, and before
+///    each probe the index is rebuilt whenever the cell has grown since
+///    the last build. A cold group streams all its data before its first
+///    feature (data sort first under all three algorithms, ties
+///    included), so that is one build per group; a data record arriving
+///    after a feature would still be indexed. Used by the cold path
+///    (fresh locals per group, see RunReduceOwned).
 ///  - FrozenCellRef: const cell + const FULLY BUILT index — an immutable
 ///    store partition that any number of concurrent queries may share.
 ///    Add is impossible by construction (warm streams carry only features;
@@ -400,7 +305,9 @@ struct OwnedCellRef {
   void Add(const X& x) {
     cell->Add(x);
   }
-  void SyncIndex() { index->Sync(cell->positions); }
+  void SyncIndex() {
+    if (index->built_size() != cell->size()) index->Build(cell->positions);
+  }
 };
 
 struct FrozenCellRef {

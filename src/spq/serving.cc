@@ -47,7 +47,6 @@ constexpr double kMaxWaitMsCeiling = 60'000.0;
 /// Defensive normalization so the executor loop can assume sane knobs.
 ServingOptions Normalize(ServingOptions opts) {
   opts.max_batch = std::clamp<uint32_t>(opts.max_batch, 1, kMaxBatchCeiling);
-  if (opts.num_executors == 0) opts.num_executors = 1;
   if (!(opts.max_wait_ms >= 0.0)) opts.max_wait_ms = 0.0;
   opts.max_wait_ms = std::min(opts.max_wait_ms, kMaxWaitMsCeiling);
   return opts;
@@ -81,12 +80,8 @@ SpqResult MakeCoalescedResult(Algorithm algo, std::vector<ResultEntry> entries,
 SpqFrontDoor::SpqFrontDoor(const SpqEngine& engine)
     : engine_(engine),
       opts_(Normalize(engine.options().serving)),
-      batch_size_hist_(opts_.max_batch + 1) {
-  executors_.reserve(opts_.num_executors);
-  for (uint32_t i = 0; i < opts_.num_executors; ++i) {
-    executors_.emplace_back([this] { ExecutorLoop(); });
-  }
-}
+      batch_size_hist_(opts_.max_batch + 1),
+      executor_([this] { ExecutorLoop(); }) {}
 
 SpqFrontDoor::~SpqFrontDoor() { Shutdown(); }
 
@@ -155,7 +150,6 @@ void SpqFrontDoor::ExecutorLoop() {
         queue_cv_.wait_until(lock, deadline, [this] {
           return stopping_ || queue_.size() >= opts_.max_batch;
         });
-        if (queue_.empty()) continue;  // a peer drained it while we waited
       }
       // One batch = one algorithm: drain the same-algorithm prefix so a
       // mixed queue closes at the algorithm boundary (order preserved).
@@ -172,7 +166,6 @@ void SpqFrontDoor::ExecutorLoop() {
       }
       DoorRegistryMetrics::Get().queue_depth.Add(
           -static_cast<int64_t>(batch.size()));
-      if (!queue_.empty()) queue_cv_.notify_one();  // more work for a peer
     }
     ServeBatch(std::move(batch));
   }
@@ -233,10 +226,7 @@ void SpqFrontDoor::Shutdown() {
   }
   queue_cv_.notify_all();
   std::lock_guard<std::mutex> join_lock(shutdown_mu_);
-  for (std::thread& executor : executors_) {
-    if (executor.joinable()) executor.join();
-  }
-  executors_.clear();
+  if (executor_.joinable()) executor_.join();
 }
 
 ServingStats SpqFrontDoor::stats() const {

@@ -62,18 +62,18 @@ struct ServingStats {
 ///     backpressure is explicit and counted, never an unbounded buffer. An
 ///     invalid query resolves at once to ValidateQuery's InvalidArgument
 ///     and is never admitted, so it cannot fail its would-be batchmates.
-///   - Executor threads drain the queue: a batch closes when it reaches
-///     max_batch queries or the oldest admitted query has waited
-///     max_wait_ms, whichever comes first. A lone caller therefore pays
-///     at most the wait budget on an idle door (and nothing when the
-///     queue is empty and an executor is already free).
+///   - One executor thread drains the queue, one batch job at a time (the
+///     job itself runs on the engine's worker pool): a batch closes when
+///     it reaches max_batch queries or the oldest admitted query has
+///     waited max_wait_ms, whichever comes first. A lone caller therefore
+///     pays at most the wait budget on an idle door.
 ///   - A batch is a single-algorithm job: the drained run is grouped by
 ///     algorithm (a mixed queue closes at the algorithm boundary).
 ///   - Oversized-radius queries (radius > store build radius) are routed
 ///     individually through engine.Query()'s loud cold fallback rather
 ///     than dragging the whole batch onto the cold path.
 ///   - Shutdown() (and the destructor) stops admission, serves what was
-///     already admitted, then joins the executors — an admitted query's
+///     already admitted, then joins the executor — an admitted query's
 ///     future is always fulfilled.
 ///
 /// Thread safety: Submit()/Query()/stats() may be called from any thread.
@@ -84,7 +84,7 @@ struct ServingStats {
 class SpqFrontDoor {
  public:
   /// The door serves `engine` with per-query algorithms chosen at
-  /// Submit() time. Spawns ServingOptions::num_executors threads.
+  /// Submit() time. Spawns the one executor thread.
   explicit SpqFrontDoor(const SpqEngine& engine);
   ~SpqFrontDoor();
 
@@ -103,7 +103,7 @@ class SpqFrontDoor {
   StatusOr<SpqResult> Query(const core::Query& query, Algorithm algo);
 
   /// Stops admission, serves every already admitted query, joins the
-  /// executors. Idempotent.
+  /// executor. Idempotent.
   void Shutdown();
 
   /// Point-in-time copy of the counters.
@@ -128,7 +128,7 @@ class SpqFrontDoor {
   const ServingOptions opts_;
 
   std::mutex mu_;
-  std::condition_variable queue_cv_;  ///< executors wait for work / stop
+  std::condition_variable queue_cv_;  ///< the executor waits for work / stop
   std::deque<Pending> queue_;
   bool stopping_ = false;
   /// Serializes concurrent Shutdown() calls (destructor vs explicit).
@@ -140,7 +140,7 @@ class SpqFrontDoor {
   // spq.serving.* metrics. There is no submitted_ tally — stats()
   // derives it, which is what closes the torn-read window.
   // batch_size_hist_ is sized once in the constructor (max_batch + 1
-  // slots), so executors index it without locks.
+  // slots), so the executor indexes it without locks.
   metrics::Counter admitted_;
   metrics::Counter rejected_;
   metrics::Counter coalesced_;
@@ -148,7 +148,8 @@ class SpqFrontDoor {
   metrics::Counter cold_routed_;
   std::vector<metrics::Counter> batch_size_hist_;
 
-  std::vector<std::thread> executors_;
+  /// Declared last: it runs ExecutorLoop, which uses every member above.
+  std::thread executor_;
 };
 
 }  // namespace spq::core

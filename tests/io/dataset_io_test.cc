@@ -327,6 +327,66 @@ TEST(TsvFormatTest, NonNumericTermWithoutVocabRejected) {
   std::remove(path.c_str());
 }
 
+// A feature with no keywords is written with an empty keyword field; the
+// reader must take it back as an empty KeywordSet, as the binary format
+// does, and keep reading the rows after it.
+TEST(TsvFormatTest, KeywordlessFeatureRoundTrips) {
+  const std::string path = TempPath("spq_tsv_keywordless.tsv");
+  Dataset dataset;
+  dataset.bounds = {0, 0, 1, 1};
+  dataset.data = {{1, {0.25, 0.5}}};
+  core::FeatureObject bare;
+  bare.id = 2;
+  bare.pos = {0.5, 0.5};
+  core::FeatureObject tagged;
+  tagged.id = 3;
+  tagged.pos = {0.75, 0.25};
+  tagged.keywords = text::KeywordSet{4, 9};
+  dataset.features = {bare, tagged, bare};
+  dataset.features.back().id = 4;
+
+  ASSERT_TRUE(SaveDatasetTsv(path, dataset).ok());
+  auto loaded = LoadDatasetTsv(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectDatasetsEqual(dataset, *loaded);
+  EXPECT_TRUE(loaded->features[0].keywords.empty());
+
+  auto decoded = DecodeDataset(EncodeDataset(dataset));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ExpectDatasetsEqual(dataset, *decoded);
+  std::remove(path.c_str());
+}
+
+// Without a vocabulary a term token is a 32-bit TermId: a negative token
+// or one past UINT32_MAX is rejected by file and line, never wrapped into
+// another term.
+TEST(TsvFormatTest, OutOfRangeTermIdsRejected) {
+  const std::string path = TempPath("spq_tsv_term_range.tsv");
+  const auto load_row = [&path](const std::string& terms) {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    std::fputs("# bounds\t0\t0\t1\t1\n", f);
+    std::fputs("D\t1\t0.5\t0.5\n", f);
+    std::fputs(("F\t2\t0.5\t0.5\t" + terms + "\n").c_str(), f);
+    std::fclose(f);
+    return LoadDatasetTsv(path);
+  };
+  for (const char* terms :
+       {"4294967296", "4294967297", "3,18446744073709551616", "-1", "7,-0"}) {
+    auto loaded = load_row(terms);
+    ASSERT_TRUE(loaded.status().IsInvalidArgument())
+        << terms << ": " << loaded.status().ToString();
+    EXPECT_NE(loaded.status().ToString().find(path + ":3:"),
+              std::string::npos)
+        << terms << ": " << loaded.status().ToString();
+  }
+  // The largest TermId still loads as itself.
+  auto loaded = load_row("0,4294967295");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->features[0].keywords,
+            (text::KeywordSet{0, std::numeric_limits<text::TermId>::max()}));
+  std::remove(path.c_str());
+}
+
 TEST(TsvFormatTest, MissingFileIsIOError) {
   EXPECT_TRUE(LoadDatasetTsv("/nonexistent/path.tsv").status().IsIOError());
 }

@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "datagen/generator.h"
 #include "datagen/workload.h"
 #include "dfs/mini_dfs.h"
@@ -253,17 +254,38 @@ TEST(ConcurrencyTest, QueriesServeAcrossCheckpointAndStoreSwap) {
 // generation: extra resident rows change pairs_tested/groups). After the
 // churn deletes everything it inserted, the logical dataset equals the
 // original again and FULL bit-identity — counters included — must hold.
-TEST(ConcurrencyTest, ReadersStayBitIdenticalAcrossMutationPublishes) {
+//
+// With `reopen`, the race runs on a fresh engine that opened a checkpoint
+// of the built store, so every cell is still on the DFS when it starts: a
+// mutation's first touch of its cell (a restore, cell_store.h invariant
+// M3) then races the readers' first touches and the publishes.
+void RunMutationPublishRace(bool reopen) {
   Dataset dataset = MakeConcurrencyDataset();
-  SpqEngine engine(dataset, MakeConcurrencyOptions());
-  ASSERT_TRUE(engine.BuildStore(kStoreRadius).ok());
+  SpqEngine builder(dataset, MakeConcurrencyOptions());
+  ASSERT_TRUE(builder.BuildStore(kStoreRadius).ok());
 
   const std::vector<Query> queries = MakeQueryMix(4);
   std::vector<SpqResult> serial;
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    auto result = engine.Query(queries[i], AlgoFor(i));
+    auto result = builder.Query(queries[i], AlgoFor(i));
     ASSERT_TRUE(result.ok());
     serial.push_back(*std::move(result));
+  }
+
+  dfs::MiniDfs source;
+  SpqEngine reopened(dataset, MakeConcurrencyOptions());
+  if (reopen) {
+    ASSERT_TRUE(builder.CheckpointStore(source, "reopened").ok());
+    ASSERT_TRUE(reopened.OpenStore(source, "reopened").ok());
+  }
+  SpqEngine& engine = reopen ? reopened : builder;
+  // Restores tallied process-wide: a store generation's own tally misses
+  // first touches made through the older generations readers pinned.
+  metrics::Counter& restores =
+      metrics::MetricsRegistry::Global().counter("spq.store.cells_restored");
+  const uint64_t restores_before = restores.Value();
+  if (reopen) {
+    ASSERT_EQ(engine.store()->cells_restored(), 0u);
   }
 
   // Quiet positions: beyond the build radius (every query radius is
@@ -356,6 +378,18 @@ TEST(ConcurrencyTest, ReadersStayBitIdenticalAcrossMutationPublishes) {
   auto refused = engine.CheckpointStore(dfs, "mut-final");
   EXPECT_TRUE(refused.status().IsFailedPrecondition())
       << refused.status().ToString();
+  if (reopen) {
+    EXPECT_GT(restores.Value(), restores_before);
+  }
+}
+
+TEST(ConcurrencyTest, ReadersStayBitIdenticalAcrossMutationPublishes) {
+  RunMutationPublishRace(/*reopen=*/false);
+}
+
+TEST(ConcurrencyTest,
+     ReadersStayBitIdenticalAcrossMutationPublishesOnAReopenedStore) {
+  RunMutationPublishRace(/*reopen=*/true);
 }
 
 }  // namespace

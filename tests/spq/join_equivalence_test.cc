@@ -299,6 +299,12 @@ TEST(CellGridIndexTest, CandidatesCoverDiskAndVisitOnce) {
               << "in-disk point " << i << " missing from probe";
         }
       }
+      // ForEachCandidate agrees with SortedCandidates (same set, each
+      // visited exactly once).
+      std::vector<uint32_t> walked;
+      index.ForEachCandidate(p, r, [&](uint32_t i) { walked.push_back(i); });
+      std::sort(walked.begin(), walked.end());
+      EXPECT_EQ(walked, sorted);
     }
   }
 }
@@ -334,102 +340,19 @@ TEST(CellGridIndexTest, DegenerateGeometries) {
   EXPECT_TRUE(found);
 }
 
-// Incremental append (the replacement for the stale-rebuild path):
-// interleaved Sync/probe rounds must behave exactly like an index built
-// fresh over the full position set — probes cover the r-disk, visit each
-// index once, and SortedCandidates stays ascending — across pending-list
-// sizes below and far above the fold threshold, with appended points both
-// inside and outside the originally built bounding box.
-TEST(CellGridIndexTest, InterleavedAppendAndProbeMatchesFreshBuild) {
-  Rng rng(2017);
-  for (int round = 0; round < 15; ++round) {
-    std::vector<geo::Point> positions;
-    const std::size_t initial = 1 + rng.NextUint32(120);
-    for (std::size_t i = 0; i < initial; ++i) {
-      positions.push_back({rng.NextDouble(), rng.NextDouble()});
-    }
-    reduce_core::CellGridIndex incremental;
-    incremental.Sync(positions);  // initial build
-
-    for (int step = 0; step < 8; ++step) {
-      // Append a batch: sometimes tiny (stays pending), sometimes large
-      // (forces a fold), sometimes outside the built bounding box (lands
-      // clamped in a boundary bucket).
-      const std::size_t batch = 1 + rng.NextUint32(step % 3 == 2 ? 60 : 6);
-      for (std::size_t i = 0; i < batch; ++i) {
-        const double spread = step % 2 == 0 ? 1.0 : 1.6;
-        positions.push_back({rng.NextDouble() * spread - 0.3 * (spread - 1.0),
-                             rng.NextDouble() * spread});
-      }
-      incremental.Sync(positions);
-      ASSERT_EQ(incremental.built_size(), positions.size());
-
-      reduce_core::CellGridIndex fresh;
-      fresh.Build(positions);
-
-      for (int probe = 0; probe < 10; ++probe) {
-        const geo::Point p{rng.NextDouble(-0.3, 1.3),
-                           rng.NextDouble(-0.3, 1.3)};
-        const double r = rng.NextDouble() * 0.3;
-        const double r2 = r * r;
-        std::vector<uint32_t> got;
-        incremental.SortedCandidates(p, r, &got);
-        for (std::size_t i = 1; i < got.size(); ++i) {
-          ASSERT_LT(got[i - 1], got[i]) << "not ascending/unique";
-        }
-        std::vector<bool> is_candidate(positions.size(), false);
-        for (uint32_t i : got) {
-          ASSERT_LT(i, positions.size());
-          is_candidate[i] = true;
-        }
-        // Correctness: the probe is a superset of the exact r-disk.
-        for (std::size_t i = 0; i < positions.size(); ++i) {
-          if (geo::Distance2(positions[i], p) <= r2) {
-            EXPECT_TRUE(is_candidate[i])
-                << "in-disk point " << i << " missing after append";
-          }
-        }
-        // ForEachCandidate agrees with SortedCandidates (same set, each
-        // visited exactly once).
-        std::vector<uint32_t> walked;
-        incremental.ForEachCandidate(p, r,
-                                     [&](uint32_t i) { walked.push_back(i); });
-        std::sort(walked.begin(), walked.end());
-        EXPECT_EQ(walked, got);
-      }
-    }
-
-    // A Sync over a shrunk vector falls back to a rebuild.
-    positions.resize(positions.size() / 2);
-    incremental.Sync(positions);
-    EXPECT_EQ(incremental.built_size(), positions.size());
-    std::vector<uint32_t> out;
-    incremental.SortedCandidates({0.5, 0.5}, 2.0, &out);
-    EXPECT_EQ(out.size(), positions.size());
-  }
-}
-
-// Appends ARBITRARILY far outside the built bounding box: bucket
-// coordinates for such points overflow any naive double→int cast, so this
-// pins the clamp-before-cast contract (finite huge magnitudes land in a
-// boundary bucket, never UB) — the latent Append bug this suite fixed.
-// Probes at matching extreme coordinates must still cover the r-disk.
-TEST(CellGridIndexTest, ExtremeOutOfBboxAppendsStayClamped) {
+// Probes ARBITRARILY far outside the built bounding box, as duplicated
+// features may lie: their bucket coordinates overflow any naive
+// double→int cast, so this pins the clamp-before-cast contract of the
+// probe range (finite huge magnitudes land in a boundary bucket, never
+// UB). Such probes must still cover the r-disk.
+TEST(CellGridIndexTest, ExtremeProbesStayClamped) {
   Rng rng(4099);
   std::vector<geo::Point> positions;
   for (int i = 0; i < 80; ++i) {
     positions.push_back({rng.NextDouble(), rng.NextDouble()});
   }
-  reduce_core::CellGridIndex incremental;
-  incremental.Sync(positions);
-
-  const double extremes[] = {1e12, -1e9, 3.5e15, -2.75e13};
-  for (double mag : extremes) {
-    positions.push_back({mag, mag * 0.5});
-    positions.push_back({-mag * 0.25, mag});
-  }
-  incremental.Sync(positions);
-  ASSERT_EQ(incremental.built_size(), positions.size());
+  reduce_core::CellGridIndex index;
+  index.Build(positions);
 
   std::vector<geo::Point> probes{{0.5, 0.5}, {1e12, 0.5e12}, {-1e9, 0.0},
                                  {-2.5e14, -2.75e13},         {0.0, 3.5e15}};
@@ -437,7 +360,7 @@ TEST(CellGridIndexTest, ExtremeOutOfBboxAppendsStayClamped) {
     for (double r : {0.0, 0.3, 1e10, 5e15}) {
       const double r2 = r * r;
       std::vector<uint32_t> got;
-      incremental.SortedCandidates(p, r, &got);
+      index.SortedCandidates(p, r, &got);
       for (std::size_t i = 1; i < got.size(); ++i) {
         ASSERT_LT(got[i - 1], got[i]) << "not ascending/unique";
       }
@@ -455,12 +378,9 @@ TEST(CellGridIndexTest, ExtremeOutOfBboxAppendsStayClamped) {
     }
   }
 
-  // A fresh Build over the same extreme set must agree with itself under
-  // a full-cover probe: every point, exactly once.
-  reduce_core::CellGridIndex fresh;
-  fresh.Build(positions);
+  // A full-cover probe from far outside returns every point, exactly once.
   std::vector<uint32_t> all;
-  fresh.SortedCandidates({0.0, 0.0}, 1e16, &all);
+  index.SortedCandidates({0.0, 0.0}, 1e16, &all);
   EXPECT_EQ(all.size(), positions.size());
 }
 

@@ -6,12 +6,14 @@
 // then inserts in insert order). Runs across all three algorithms,
 // spill/mem shuffles and compaction on/off, plus directed edge cases:
 // delete-all-in-cell, re-insert-after-delete, mutation at the
-// max-radius boundary, and the mutation-before-BuildStore /
-// duplicate-id / missing-id error contracts.
+// max-radius boundary, mutations on a store reopened from a checkpoint
+// (each materializes its cell first, invariant M3), and the
+// mutation-before-BuildStore / duplicate-id / missing-id error contracts.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -23,6 +25,7 @@
 
 #include "datagen/generator.h"
 #include "datagen/workload.h"
+#include "dfs/mini_dfs.h"
 #include "spq/cell_store.h"
 #include "spq/engine.h"
 
@@ -308,7 +311,7 @@ TEST(MutationEquivalenceTest, ReinsertAfterDeleteMatchesFreshRebuild) {
   ASSERT_TRUE(engine.BuildStore(kMaxRadius).ok());
 
   std::vector<DataObject> shadow = base.data;
-  // Warm the store first so the ready-partition mutation paths run.
+  // Warm the store first, so the mutations copy cells a query served.
   auto warmup = engine.Query(MakeMutationQuery(9'000, 2, kMaxRadius),
                              Algorithm::kPSPQ);
   ASSERT_TRUE(warmup.ok());
@@ -344,8 +347,8 @@ TEST(MutationEquivalenceTest, ReinsertAfterDeleteMatchesFreshRebuild) {
 
 // Directed edge case: an inserted object at EXACTLY distance r from a
 // feature (the paper's dist <= r is inclusive). The insert must score on
-// the boundary identically to a fresh rebuild — across the mutation path
-// (delta log vs materialized append).
+// the boundary identically to a fresh rebuild — whether the insert
+// materializes its cell or a query already did.
 TEST(MutationEquivalenceTest, InsertAtMaxRadiusBoundaryMatchesFreshRebuild) {
   const Dataset base = MakeMutationDataset(74);
   EngineOptions options =
@@ -354,7 +357,7 @@ TEST(MutationEquivalenceTest, InsertAtMaxRadiusBoundaryMatchesFreshRebuild) {
     SpqEngine engine(base, options);
     ASSERT_TRUE(engine.BuildStore(kMaxRadius).ok());
     if (warm_first) {
-      // Materialize partitions so the insert takes the ready-cell path.
+      // Materialize partitions, so the insert copies a served cell.
       auto warmup = engine.Query(MakeMutationQuery(9'400, 2, kMaxRadius),
                                  Algorithm::kPSPQ);
       ASSERT_TRUE(warmup.ok());
@@ -381,6 +384,89 @@ TEST(MutationEquivalenceTest, InsertAtMaxRadiusBoundaryMatchesFreshRebuild) {
           std::string("boundary ") + AlgorithmName(algo) +
               (warm_first ? " ready" : " lazy"));
     }
+  }
+}
+
+// Invariant M3 on a recovered store: a mutation serves its cell before it
+// edits it, the same latched first touch a query makes. Right after
+// OpenStore() every cell is still on the DFS, so the first mutation in a
+// cell restores its image (or, when every replica of the image is
+// corrupt, rebuilds it from the dataset), and a second mutation in the
+// same cell touches nothing.
+TEST(MutationEquivalenceTest,
+     MutationsOnARecoveredStoreMaterializeTheirCellFirst) {
+  const Dataset base = MakeMutationDataset(76);
+  EngineOptions options =
+      MakeMutationOptions(/*spill=*/false, /*auto_compact=*/false, "reopen");
+  SpqEngine builder(base, options);
+  ASSERT_TRUE(builder.BuildStore(kMaxRadius).ok());
+  dfs::MiniDfs dfs;
+  auto epoch = builder.CheckpointStore(dfs, "store");
+  ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
+
+  // The three most populated cells: a delete lands in the first, an insert
+  // and then a delete in the second, and the third's image is corrupted.
+  const geo::UniformGrid& grid = builder.store()->grid();
+  std::vector<std::vector<DataObject>> per_cell(grid.num_cells());
+  for (const DataObject& o : base.data) {
+    per_cell[grid.CellOf(o.pos)].push_back(o);
+  }
+  std::vector<geo::CellId> cells(grid.num_cells());
+  for (geo::CellId c = 0; c < cells.size(); ++c) cells[c] = c;
+  std::sort(cells.begin(), cells.end(), [&](geo::CellId a, geo::CellId b) {
+    return per_cell[a].size() > per_cell[b].size();
+  });
+  ASSERT_GE(per_cell[cells[2]].size(), 2u);
+
+  auto meta = dfs.GetMetadata(CellStore::CellFile("store", *epoch, cells[2]));
+  ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+  for (const auto& block : meta->blocks) {
+    for (auto node : block.replicas) {
+      ASSERT_TRUE(dfs.datanode(node).CorruptReplica(block.block, 7).ok());
+    }
+  }
+
+  SpqEngine engine(base, options);
+  ASSERT_TRUE(engine.OpenStore(dfs, "store").ok());
+  const auto touched = [&engine] {
+    return engine.store()->cells_restored() + engine.store()->cells_rebuilt();
+  };
+  ASSERT_EQ(touched(), 0u);
+  std::vector<DataObject> shadow = base.data;
+  const auto erase_from_shadow = [&shadow](ObjectId id) {
+    shadow.erase(std::find_if(
+        shadow.begin(), shadow.end(),
+        [id](const DataObject& o) { return o.id == id; }));
+  };
+
+  ASSERT_TRUE(engine.Delete(per_cell[cells[0]].front().id).ok());
+  erase_from_shadow(per_cell[cells[0]].front().id);
+  EXPECT_EQ(touched(), 1u);
+
+  const geo::Rect rect = grid.CellRect(cells[1]);
+  DataObject fresh;
+  fresh.id = 60'000'000;
+  fresh.pos = {0.5 * (rect.min_x + rect.max_x),
+               0.5 * (rect.min_y + rect.max_y)};
+  ASSERT_EQ(grid.CellOf(fresh.pos), cells[1]);
+  ASSERT_TRUE(engine.Insert(fresh).ok());
+  shadow.push_back(fresh);
+  EXPECT_EQ(touched(), 2u);
+  ASSERT_TRUE(engine.Delete(per_cell[cells[1]].front().id).ok());
+  erase_from_shadow(per_cell[cells[1]].front().id);
+  EXPECT_EQ(touched(), 2u) << "a second mutation in a served cell";
+  EXPECT_EQ(engine.store()->cells_restored(), 2u);
+  EXPECT_EQ(engine.store()->cells_rebuilt(), 0u);
+
+  ASSERT_TRUE(engine.Delete(per_cell[cells[2]].front().id).ok());
+  erase_from_shadow(per_cell[cells[2]].front().id);
+  EXPECT_EQ(engine.store()->cells_rebuilt(), 1u);
+  EXPECT_EQ(engine.store()->cells_restored(), 2u);
+
+  for (Algorithm algo :
+       {Algorithm::kPSPQ, Algorithm::kESPQLen, Algorithm::kESPQSco}) {
+    ExpectMatchesFreshRebuild(engine, shadow, base, options, algo, 9'600,
+                              std::string("recovered ") + AlgorithmName(algo));
   }
 }
 

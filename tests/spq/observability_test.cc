@@ -56,7 +56,6 @@ EngineOptions MakeObsOptions() {
   options.serving.max_batch = 8;
   options.serving.max_wait_ms = 5.0;
   options.serving.queue_capacity = 64;
-  options.serving.num_executors = 1;
   return options;
 }
 

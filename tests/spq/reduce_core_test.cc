@@ -1,7 +1,8 @@
 // Unit tests of the reduce cores' `reduce.pairs_tested` accounting on a
 // hand-built cell: a CellData, its built CellGridIndex, and a cursor over
 // feature records with known `order` values. Every expected count is worked
-// out by hand from the cell layout below.
+// out by hand from the cell layout below. The last test streams the same
+// rows through a cold (owned) group instead.
 
 #include <gtest/gtest.h>
 
@@ -133,6 +134,41 @@ TEST(ReduceCoreTest, PspqCountsOnlyCandidatesTheFeatureCanImprove) {
   ASSERT_EQ(out.size(), 3u);
   for (const ResultEntry& e : out) EXPECT_EQ(e.score, 1.0) << e.id;
   EXPECT_EQ(counters.Get(counter::kPairsTested), 15u);
+  EXPECT_EQ(counters.Get(counter::kFeaturesExamined), 2u);
+}
+
+// A cold (owned) group whose data records straddle its first feature:
+// rows 0-4, feature A at kCentre (w = 1), rows 5-8, then feature B
+// (w = 0.5) at (0.5, 0.1), whose disk holds only the late row 6. The
+// index built for A covers rows 0-4; B's probe must rebuild it over all
+// nine rows, or row 6 is never scored. A scores only row 2: rows 5 and 7
+// arrive after it.
+TEST(ReduceCoreTest, OwnedGroupIndexesDataThatArriveAfterAFeature) {
+  VectorCursor cursor;
+  const auto add_rows = [&cursor](std::size_t lo, std::size_t hi) {
+    for (std::size_t row = lo; row < hi; ++row) {
+      ShuffleObject o;
+      o.kind = ShuffleObject::kData;
+      o.id = 100 + row;
+      o.pos = kRows[row];
+      cursor.records.emplace_back(CellKey{0, 0.0}, std::move(o));
+    }
+  };
+  add_rows(0, 5);
+  cursor.records.push_back(Feature(1, 1.0, {1, 2}));
+  add_rows(5, std::size(kRows));
+  cursor.records.push_back(Feature(2, 1.0, {1}));
+  cursor.records.back().second.pos = {0.5, 0.1};
+  mapreduce::Counters counters;
+  std::vector<ResultEntry> out;
+  RunReduceOwned(Algorithm::kPSPQ, MakeQuery(10), cursor, counters,
+                 [&out](const ResultEntry& e) { out.push_back(e); });
+
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].id, 102u);
+  EXPECT_EQ(out[0].score, 1.0);
+  EXPECT_EQ(out[1].id, 106u);
+  EXPECT_EQ(out[1].score, 0.5);
   EXPECT_EQ(counters.Get(counter::kFeaturesExamined), 2u);
 }
 
