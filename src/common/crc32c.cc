@@ -1,8 +1,7 @@
-// CRC-32C backends. Like common/simd.cc, this is the only translation
-// unit compiled with its extra ISA flag (-msse4.2, see the SPQ_SIMD
-// handling in the root CMakeLists), so the `crc32` intrinsics stay behind
-// a function-call boundary and the rest of the library keeps the baseline
-// instruction set.
+// CRC-32C backends. This is the only translation unit compiled with an
+// extra ISA flag (-msse4.2, whenever the compiler accepts it; see the root
+// CMakeLists), so the `crc32` intrinsics stay behind a function-call
+// boundary and the rest of the library keeps the baseline instruction set.
 
 #include "common/crc32c.h"
 
@@ -100,12 +99,15 @@ bool Sse42Available() { return false; }
 
 }  // namespace
 
+uint32_t Crc32cSoftware(const uint8_t* data, std::size_t n, uint32_t seed) {
+  return ~UpdateSoftware(~seed, data, n);
+}
+
 uint32_t Crc32c(const uint8_t* data, std::size_t n, uint32_t seed) {
-  const uint32_t crc = ~seed;
 #if defined(SPQ_CRC32C_SSE42)
-  if (Sse42Available()) return ~UpdateSse42(crc, data, n);
+  if (Sse42Available()) return ~UpdateSse42(~seed, data, n);
 #endif
-  return ~UpdateSoftware(crc, data, n);
+  return Crc32cSoftware(data, n, seed);
 }
 
 const char* Crc32cBackend() {

@@ -10,12 +10,12 @@ namespace spq {
 /// \brief CRC-32C (Castagnoli, polynomial 0x1EDC6F41, reflected) — the
 /// checksum HDFS uses per block chunk.
 ///
-/// Two backends behind a runtime cpu check (same scheme as the distance
-/// kernels in common/simd.h): the SSE4.2 `crc32` instruction when the
-/// build enables it (SPQ_SIMD=ON) and the cpu has it, a software
-/// slice-by-4 table loop otherwise. Both compute the same polynomial in
-/// the same reflected convention, so checksums written by one backend
-/// always verify under the other.
+/// Two backends behind a runtime cpu check: the SSE4.2 `crc32`
+/// instruction when the compiler accepts -msse4.2 (see the root
+/// CMakeLists) and the cpu has it, a software slice-by-4 table loop
+/// otherwise. Both compute the same polynomial in the same reflected
+/// convention, so checksums written by one backend always verify under
+/// the other.
 ///
 /// `seed` is a previous Crc32c result, so checksums can be computed
 /// incrementally over split buffers:
@@ -25,6 +25,11 @@ uint32_t Crc32c(const uint8_t* data, std::size_t n, uint32_t seed = 0);
 inline uint32_t Crc32c(const std::vector<uint8_t>& bytes, uint32_t seed = 0) {
   return Crc32c(bytes.data(), bytes.size(), seed);
 }
+
+/// The software table loop alone, whatever the cpu supports, exposed so
+/// tests can pin it against the dispatched Crc32c on hosts where the
+/// hardware path is taken. Same contract as Crc32c.
+uint32_t Crc32cSoftware(const uint8_t* data, std::size_t n, uint32_t seed = 0);
 
 /// "sse4.2" or "software" — which backend Crc32c dispatches to here.
 const char* Crc32cBackend();

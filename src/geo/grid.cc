@@ -1,5 +1,7 @@
 #include "geo/grid.h"
 
+#include <cmath>
+
 namespace spq::geo {
 
 namespace {
@@ -29,7 +31,17 @@ StatusOr<UniformGrid> UniformGrid::Make(const Rect& bounds, uint32_t nx,
   if (static_cast<uint64_t>(nx) * ny > (1ULL << 31)) {
     return Status::InvalidArgument("grid has too many cells");
   }
-  return UniformGrid(bounds, nx, ny);
+  // An infinite bound, or finite bounds more than a double apart, give an
+  // infinite cell edge: CellRect would compute NaN bounds and Lemma-1
+  // duplication would drop targets. A tiny extent can give an edge that
+  // underflows to 0, which makes every cell degenerate.
+  const UniformGrid grid(bounds, nx, ny);
+  if (!std::isfinite(grid.cell_w_) || !std::isfinite(grid.cell_h_) ||
+      !(grid.cell_w_ > 0.0) || !(grid.cell_h_ > 0.0)) {
+    return Status::InvalidArgument(
+        "grid bounds must be finite, with finite cell edges > 0");
+  }
+  return grid;
 }
 
 UniformGrid::UniformGrid(const Rect& bounds, uint32_t nx, uint32_t ny)

@@ -23,8 +23,9 @@ using CellId = uint32_t;
 /// Lemma 1.
 class UniformGrid {
  public:
-  /// Creates an nx × ny grid over `bounds`. Both dimensions must be >= 1
-  /// and the bounds non-degenerate.
+  /// Creates an nx × ny grid over `bounds`. Both dimensions must be >= 1,
+  /// the bounds finite and non-degenerate, and each cell edge finite and
+  /// > 0; InvalidArgument otherwise.
   static StatusOr<UniformGrid> Make(const Rect& bounds, uint32_t nx,
                                     uint32_t ny);
 

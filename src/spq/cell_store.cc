@@ -183,7 +183,7 @@ StatusOr<const CellStore::Partition*> CellStore::Serve(
     auto image = RestoreImage(cell);
     if (image.ok()) {
       part.segment.bytes = *std::move(image);
-      cells_restored_.fetch_add(1, std::memory_order_relaxed);
+      tallies_->restored.fetch_add(1, std::memory_order_relaxed);
       StoreRegistryMetrics::Get().cells_restored.Increment();
     } else {
       SPQ_LOG_WARN << "store cell " << cell
@@ -191,7 +191,7 @@ StatusOr<const CellStore::Partition*> CellStore::Serve(
                    << image.status().ToString()
                    << "); rebuilding from dataset";
       SPQ_RETURN_NOT_OK(RebuildPartition(cell, part));
-      cells_rebuilt_.fetch_add(1, std::memory_order_relaxed);
+      tallies_->rebuilt.fetch_add(1, std::memory_order_relaxed);
       StoreRegistryMetrics::Get().cells_rebuilt.Increment();
     }
   }
@@ -673,6 +673,7 @@ void CellStore::AllocateCells() {
   for (uint32_t i = 0; i < grid_.num_cells(); ++i) {
     cells_.push_back(std::make_shared<Partition>());
   }
+  tallies_ = std::make_shared<RestoreTallies>();
 }
 
 std::unique_ptr<CellStore> CellStore::CloneShared() const {
@@ -689,8 +690,7 @@ std::unique_ptr<CellStore> CellStore::CloneShared() const {
   next->checkpoint_epoch_ = checkpoint_epoch_;
   next->rebuild_input_ = rebuild_input_;
   next->cell_crcs_ = cell_crcs_;
-  next->cells_restored_.store(cells_restored(), std::memory_order_relaxed);
-  next->cells_rebuilt_.store(cells_rebuilt(), std::memory_order_relaxed);
+  next->tallies_ = tallies_;
   return next;
 }
 

@@ -73,7 +73,10 @@ namespace spq::core {
 ///     would race on the WAL epoch. Counters crossing threads
 ///     (cells_restored/cells_rebuilt) are std::atomic, relaxed: they are
 ///     monotonic tallies with no ordering contract against the data they
-///     count — readers only ever observe a value ≤ the true total.
+///     count — readers only ever observe a value ≤ the true total. Every
+///     generation derived from one Build/Recover shares them, as it
+///     shares the partitions, so a first touch through any generation
+///     counts in all of them.
 ///   - Build()/Recover() construct a store privately; publication to other
 ///     threads is the caller's job (the engine swaps a
 ///     shared_ptr<const StoreSnapshot> atomically — see engine.h).
@@ -325,15 +328,17 @@ class CellStore {
   bool recovered() const { return checkpoint_epoch_ != 0; }
   /// Committed epoch this store serves from; 0 for built stores.
   uint64_t checkpoint_epoch() const { return checkpoint_epoch_; }
-  /// Cells lazily re-read (and verified) from the checkpoint so far.
-  /// Atomic: bumped by parallel reduce tasks on disjoint cells.
+  /// Cells lazily re-read (and verified) from the checkpoint so far, by
+  /// any generation of this store. Atomic: bumped by parallel reduce
+  /// tasks on disjoint cells.
   uint64_t cells_restored() const {
-    return cells_restored_.load(std::memory_order_relaxed);
+    return tallies_->restored.load(std::memory_order_relaxed);
   }
   /// Cells whose checkpoint image failed verification and were rebuilt
-  /// from the attached dataset instead (invariant 4; always logged).
+  /// from the attached dataset instead (invariant 4; always logged), by
+  /// any generation of this store.
   uint64_t cells_rebuilt() const {
-    return cells_rebuilt_.load(std::memory_order_relaxed);
+    return tallies_->rebuilt.load(std::memory_order_relaxed);
   }
 
   /// Checkpoint file layout under a store name (exposed for tests/bench).
@@ -347,8 +352,8 @@ class CellStore {
   CellStore(geo::UniformGrid grid, double max_radius)
       : grid_(grid), max_radius_(max_radius) {}
 
-  /// Fresh partitions for every cell (Build/Recover; CloneShared assigns
-  /// the shared vector instead).
+  /// Fresh partitions for every cell and fresh restore tallies
+  /// (Build/Recover; CloneShared shares both instead).
   void AllocateCells();
   /// New generation sharing every Partition and all store metadata with
   /// this one (cell-level COW starting point for the mutation layer).
@@ -399,10 +404,14 @@ class CellStore {
   uint64_t checkpoint_epoch_ = 0;
   const std::vector<ShuffleObject>* rebuild_input_ = nullptr;
   std::vector<uint32_t> cell_crcs_;  ///< per-cell image CRCs (manifest)
-  // mutable: tallied from const Serve (first-touch materialization is a
-  // logically-const cache fill).
-  mutable std::atomic<uint64_t> cells_restored_{0};
-  mutable std::atomic<uint64_t> cells_rebuilt_{0};
+  /// First-touch restore tallies, one block per Build/Recover lineage:
+  /// Serve() bumps them from const (materialization is a logically-const
+  /// cache fill), through whichever generation its caller pinned.
+  struct RestoreTallies {
+    std::atomic<uint64_t> restored{0};
+    std::atomic<uint64_t> rebuilt{0};
+  };
+  std::shared_ptr<RestoreTallies> tallies_;
 };
 
 /// Answers one query from the store by the direct warm route, with no

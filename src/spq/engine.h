@@ -75,8 +75,8 @@ struct ServingOptions {
 ///
 /// The shuffle has no knob: every SPQ job runs the flat-arena pipeline
 /// (RunJob in mapreduce/runtime.h). Nor does the reduce-side join: every
-/// group, cold or warm, probes its cell's CellGridIndex and tests the
-/// candidates through the SIMD distance kernel (reduce_core.h).
+/// group, cold or warm, probes its cell's CellGridIndex and tests each
+/// candidate's distance as the probe reaches it (reduce_core.h).
 struct EngineOptions {
   /// Cells per side of the query-time grid (the paper's "grid size";
   /// 50 means a 50x50 grid). 0 = choose automatically via AdviseGridSize.

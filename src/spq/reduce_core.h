@@ -9,7 +9,6 @@
 #include <numeric>
 #include <vector>
 
-#include "common/simd.h"
 #include "common/trace.h"
 #include "geo/point.h"
 #include "mapreduce/job.h"
@@ -35,12 +34,11 @@ namespace spq::core::reduce_core {
 /// through `emit(const ResultEntry&)`.
 ///
 /// Every feature's radius probe walks only the CellGridIndex buckets
-/// (below) overlapping its r-disk, gathers the candidates that survive the
-/// algorithm's skip test, and tests their distances in one batch through
-/// simd::DistanceWithinMask (AVX2 lanes of 4 when the CPU has them, the
-/// portable loop otherwise). `reduce.pairs_tested` counts the distance
-/// evaluations the algorithm consumes; see ScoreFeatureAgainstCell and
-/// RunEspqSco for what each counts.
+/// (below) overlapping its r-disk and tests each candidate that survives
+/// the algorithm's skip test as the walk reaches it, with
+/// geo::Distance2(p, f) <= r² — the same expression the sequential oracle
+/// evaluates. `reduce.pairs_tested` counts exactly those evaluations; see
+/// ScoreFeatureAgainstCell and RunEspqSco for which candidates each skips.
 
 /// In-memory O_i of one reduce group, kept as parallel contiguous arrays
 /// (SoA): `positions` doubles as the storage the CellGridIndex buckets
@@ -338,37 +336,12 @@ struct FrozenCellRef {
 
 namespace internal {
 
-/// Per-group scratch for the batched distance kernel: surviving candidate
-/// indices, their gathered coordinates in SoA form, and the kernel's
-/// verdict bytes. One instance lives per reduce group and is reused
-/// across that group's feature probes, so the steady state does no
-/// allocation — the buffers only grow to the largest probe seen.
-struct ProbeScratch {
-  std::vector<uint32_t> idx;
-  std::vector<double> xs;
-  std::vector<double> ys;
-  std::vector<uint8_t> within;
-
-  /// Copies candidate i's coordinates into the SoA lanes (resize first).
-  void Gather(const std::vector<geo::Point>& positions) {
-    const std::size_t n = idx.size();
-    xs.resize(n);
-    ys.resize(n);
-    within.resize(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      xs[j] = positions[idx[j]].x;
-      ys[j] = positions[idx[j]].y;
-    }
-  }
-};
-
-/// The pSPQ/eSPQlen inner loop for one surviving feature, in three passes:
-/// gather the index candidates passing the threshold skip, test their
-/// distances through simd::DistanceWithinMask, then apply the hits. The
-/// visit order is irrelevant here — the probe visits each index once and
-/// reads its pre-feature score, and TopKList selection is a strict total
-/// order — so the unordered bucket walk is safe. `pairs` counts the
-/// gathered candidates.
+/// The pSPQ/eSPQlen inner loop for one surviving feature: walk the index
+/// candidates, skip those whose running score `w` cannot improve, and
+/// distance-test the rest in place. The visit order is irrelevant here —
+/// the probe visits each index once and reads its own pre-feature score,
+/// and TopKList selection is a strict total order — so the unordered
+/// bucket walk is safe. `pairs` counts the candidates tested.
 ///
 /// `scores` is the query's running best-score array (parallel to the cell
 /// arrays, owned by the caller's QueryScratch): this function is the only
@@ -377,26 +350,18 @@ template <typename CellRef, typename X>
 inline void ScoreFeatureAgainstCell(const X& x, double w, double radius,
                                     double r2, CellRef& ref,
                                     std::vector<double>& scores, TopKList& lk,
-                                    uint64_t& pairs, ProbeScratch& scratch) {
+                                    uint64_t& pairs) {
   const CellData& cell = ref.data();
-  scratch.idx.clear();
   ref.SyncIndex();
   ref.idx().ForEachCandidate(x.pos, radius, [&](std::size_t i) {
     if (w <= scores[i]) return;  // cannot improve p's score
-    scratch.idx.push_back(static_cast<uint32_t>(i));
+    ++pairs;
+    // `<=`, so a NaN distance never scores.
+    if (geo::Distance2(cell.positions[i], x.pos) <= r2) {
+      scores[i] = w;
+      lk.Update(cell.ids[i], w);
+    }
   });
-  const std::size_t n = scratch.idx.size();
-  if (n == 0) return;
-  pairs += n;
-  scratch.Gather(cell.positions);
-  simd::DistanceWithinMask(scratch.xs.data(), scratch.ys.data(), n, x.pos.x,
-                           x.pos.y, r2, scratch.within.data());
-  for (std::size_t j = 0; j < n; ++j) {
-    if (!scratch.within[j]) continue;
-    const uint32_t i = scratch.idx[j];
-    scores[i] = w;
-    lk.Update(cell.ids[i], w);
-  }
 }
 
 }  // namespace internal
@@ -416,8 +381,6 @@ struct QueryScratch {
   std::vector<uint8_t> reported;
   /// SortedCandidates output, reused across probes.
   std::vector<uint32_t> sorted;
-  /// Batched distance-kernel lanes.
-  internal::ProbeScratch probe;
 };
 
 /// The reduce cores below BORROW their cell state through a CellRef
@@ -465,8 +428,7 @@ void RunPspq(const Query& query, CellRef& cell, QueryScratch& scratch,
                                    q_ids.data(), q_ids.size(), lk.Threshold());
     if (w > lk.Threshold()) {
       internal::ScoreFeatureAgainstCell(x, w, query.radius, r2, cell,
-                                        scratch.scores, lk, pairs,
-                                        scratch.probe);
+                                        scratch.scores, lk, pairs);
     }
   }
   counters.Increment(counter::kFeaturesExamined, examined);
@@ -512,8 +474,7 @@ void RunEspqLen(const Query& query, CellRef& cell, QueryScratch& scratch,
                                    q_ids.data(), q_ids.size(), lk.Threshold());
     if (w > lk.Threshold()) {
       internal::ScoreFeatureAgainstCell(x, w, query.radius, r2, cell,
-                                        scratch.scores, lk, pairs,
-                                        scratch.probe);
+                                        scratch.scores, lk, pairs);
     }
   }
   counters.Increment(counter::kFeaturesExamined, examined);
@@ -532,15 +493,14 @@ void RunEspqSco(const Query& query, CellRef& cell_ref, QueryScratch& qscratch,
   // (warm path); grows with Add on the owned path.
   std::vector<uint8_t>& reported = qscratch.reported;
   reported.assign(cell_ref.data().size(), 0);
-  // Tombstoned rows (mutable store) are pre-marked reported: the gather
+  // Tombstoned rows (mutable store) are pre-marked reported: the walk
   // consults `reported[i]` BEFORE a pair is counted or emitted, and a
   // pre-marked row never increments reported_count — bit-identical, for
   // results and every counter, to the row being physically absent.
   if (const std::vector<uint32_t>* dead = cell_ref.DeadRows()) {
     for (uint32_t i : *dead) reported[i] = 1;
   }
-  std::vector<uint32_t>& probe_scratch = qscratch.sorted;
-  internal::ProbeScratch& scratch = qscratch.probe;
+  std::vector<uint32_t>& candidates = qscratch.sorted;
   const double r2 = query.radius * query.radius;
   const CellData& cell = cell_ref.data();
   uint32_t reported_count = 0;
@@ -562,31 +522,22 @@ void RunEspqSco(const Query& query, CellRef& cell_ref, QueryScratch& qscratch,
       break;
     }
     ++examined;
-    // Lemma 3 reports in ascending data-index order and stops at k: gather
-    // the ascending not-yet-reported candidates, run the kernel over all
-    // of them, then replay the verdicts in order. `pairs` counts only the
-    // lanes the replay walks — lanes evaluated past the k-th report are
-    // speculation Lemma 3 never needed, and stay uncounted.
+    // Lemma 3 reports in ascending data-index order and stops at k: walk
+    // the ascending candidates, skip the reported ones, and test the rest
+    // until the k-th report. `pairs` counts the tests made; no candidate
+    // past the k-th report is tested.
     cell_ref.SyncIndex();
-    cell_ref.idx().SortedCandidates(x.pos, query.radius, &probe_scratch);
-    scratch.idx.clear();
-    for (uint32_t i : probe_scratch) {
-      if (!reported[i]) scratch.idx.push_back(i);
-    }
-    const std::size_t n = scratch.idx.size();
-    if (n == 0) continue;
-    scratch.Gather(cell.positions);
-    simd::DistanceWithinMask(scratch.xs.data(), scratch.ys.data(), n, x.pos.x,
-                             x.pos.y, r2, scratch.within.data());
+    cell_ref.idx().SortedCandidates(x.pos, query.radius, &candidates);
     bool done = false;
-    for (std::size_t j = 0; j < n && !done; ++j) {
+    for (uint32_t i : candidates) {
+      if (reported[i]) continue;
       ++pairs;
-      if (!scratch.within[j]) continue;
-      const uint32_t i = scratch.idx[j];
+      if (!(geo::Distance2(cell.positions[i], x.pos) <= r2)) continue;
       // Decreasing-score order makes w the final τ(p) (Lemma 3).
       emit(ResultEntry{cell.ids[i], w});
       reported[i] = 1;
       done = ++reported_count == query.k;
+      if (done) break;
     }
     if (done) {
       counters.Increment(counter::kEarlyTerminations);

@@ -29,6 +29,28 @@ TEST(GridTest, MakeRejectsInvalidArguments) {
   EXPECT_TRUE(UniformGrid::Make(Rect{0, 0, 1, 1}, 1u << 16, 1u << 16)
                   .status()
                   .IsInvalidArgument());
+
+  // Bounds with an infinite side, or finite bounds whose width overflows
+  // a double, give an infinite cell edge (NaN cell rectangles); an edge
+  // that underflows to 0 is no better.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Rect rejected[] = {
+      {-inf, 0, 1, 1},        {0, 0, inf, 1},       {0, -inf, 1, 1},
+      {0, 0, 1, inf},         {nan, 0, 1, 1},       {0, 0, 1, nan},
+      {-1e308, 0, 1e308, 1},  {0, -1e308, 1, 1e308},
+      {0, 0, 5e-324, 1},  // the edge, 5e-324 / 4, rounds to 0
+  };
+  for (const Rect& bounds : rejected) {
+    EXPECT_TRUE(UniformGrid::Make(bounds, 4, 4).status().IsInvalidArgument())
+        << bounds.min_x << " " << bounds.min_y << " " << bounds.max_x << " "
+        << bounds.max_y;
+  }
+  // Wide but representable: every edge is finite.
+  auto wide = UniformGrid::Make(Rect{-1e307, 0, 1e307, 1}, 4, 4);
+  ASSERT_TRUE(wide.ok());
+  EXPECT_DOUBLE_EQ(wide->cell_width(), 5e306);
+  EXPECT_EQ(wide->CellOf({0.0, 0.5}), wide->CellAt(2, 2));
 }
 
 TEST(GridTest, BasicGeometry) {

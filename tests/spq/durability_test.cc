@@ -14,8 +14,10 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -551,6 +553,7 @@ TEST(DurabilityTest, RecoveryUnderInjectedStorageFaults) {
 // cell count, then holds one entry per cell. Integers are little-endian.
 constexpr std::size_t kFrameHeaderBytes = 12;
 constexpr std::size_t kVersionAt = 0;
+constexpr std::size_t kMaxXAt = 36;
 constexpr std::size_t kNxAt = 52;
 constexpr std::size_t kNyAt = 56;
 constexpr std::size_t kNumCellsAt = 68;
@@ -565,6 +568,17 @@ void PutU32At(std::vector<uint8_t>& bytes, std::size_t at, uint32_t v) {
   for (int i = 0; i < 4; ++i) {
     bytes[at + i] = static_cast<uint8_t>(v >> (8 * i));
   }
+}
+
+double GetF64At(const std::vector<uint8_t>& bytes, std::size_t at) {
+  return std::bit_cast<double>(uint64_t{GetU32At(bytes, at)} |
+                               uint64_t{GetU32At(bytes, at + 4)} << 32);
+}
+
+void PutF64At(std::vector<uint8_t>& bytes, std::size_t at, double v) {
+  const uint64_t bits = std::bit_cast<uint64_t>(v);
+  PutU32At(bytes, at, static_cast<uint32_t>(bits));
+  PutU32At(bytes, at + 4, static_cast<uint32_t>(bits >> 32));
 }
 
 /// The payload of epoch 1's manifest under "store".
@@ -674,6 +688,35 @@ TEST(ManifestDecodeTest, PreviousVersionIsRejected) {
   ASSERT_TRUE(reader.BuildStore(kMaxRadius).ok());
   ExpectSuitesIdentical(baseline, RunSuite(reader),
                         "rebuilt after a version-1 manifest");
+}
+
+// A manifest whose grid bounds are not finite describes no grid a store
+// can serve: its cell edges are infinite, its cell rectangles NaN, and
+// Lemma-1 duplication would drop targets. Recovery must reject it, so the
+// caller rebuilds.
+TEST(ManifestDecodeTest, NonFiniteGridBoundsAreRejected) {
+  const EngineOptions options = MakeOptions(false, "bounds");
+  SpqEngine builder(TestDataset(), options);
+  ASSERT_TRUE(builder.BuildStore(kMaxRadius).ok());
+  const std::vector<SpqResult> baseline = RunSuite(builder);
+  dfs::MiniDfs dfs(SmallDfs());
+  ASSERT_TRUE(builder.store()->Checkpoint(dfs, "store").ok());
+
+  std::vector<uint8_t> payload = ManifestPayload(dfs);
+  ASSERT_GT(payload.size(), kNumCellsAt + 4);
+  ASSERT_EQ(GetU32At(payload, kNxAt), kGridSize);  // the layout above holds
+  ASSERT_EQ(GetF64At(payload, kMaxXAt),
+            builder.store()->grid().bounds().max_x);
+  PutF64At(payload, kMaxXAt, std::numeric_limits<double>::infinity());
+  ReplaceManifestPayload(dfs, payload);
+
+  SpqEngine reader(TestDataset(), options);
+  const Status opened = reader.OpenStore(dfs, "store");
+  EXPECT_TRUE(opened.IsNotFound()) << opened.ToString();
+  EXPECT_FALSE(reader.has_store());
+  ASSERT_TRUE(reader.BuildStore(kMaxRadius).ok());
+  ExpectSuitesIdentical(baseline, RunSuite(reader),
+                        "rebuilt after non-finite bounds");
 }
 
 }  // namespace

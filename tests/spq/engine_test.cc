@@ -253,5 +253,32 @@ TEST(EngineTest, FarOutsideObjectsClampIntoTheEdgeCell) {
   }
 }
 
+// Bounds the grid cannot tile: an infinite side, or finite sides whose
+// width overflows a double. Either gives an infinite cell edge, so cell
+// rectangles come out NaN and Lemma-1 duplication silently drops targets.
+// Execute and BuildStore refuse them, with a fixed or an advised grid.
+TEST(EngineTest, NonFiniteGridBoundsAreRejected) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const geo::Rect& bounds :
+       {geo::Rect{-inf, 0.0, 1.0, 1.0}, geo::Rect{-1e308, 0.0, 1e308, 1.0}}) {
+    for (uint32_t grid_size : {8u, 0u}) {
+      Dataset dataset = TestDataset(300);
+      dataset.bounds = bounds;
+      EngineOptions options;
+      options.grid_size = grid_size;
+      SpqEngine engine(dataset, options);
+      for (Algorithm algo : {Algorithm::kPSPQ, Algorithm::kESPQLen,
+                             Algorithm::kESPQSco}) {
+        EXPECT_TRUE(
+            engine.Execute(TestQuery(), algo).status().IsInvalidArgument())
+            << AlgorithmName(algo) << " grid " << grid_size;
+      }
+      EXPECT_TRUE(engine.BuildStore(0.04).IsInvalidArgument())
+          << "grid " << grid_size;
+      EXPECT_FALSE(engine.has_store());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace spq::core

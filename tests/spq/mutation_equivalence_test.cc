@@ -470,6 +470,48 @@ TEST(MutationEquivalenceTest,
   }
 }
 
+// The restore tallies belong to the store's lineage, not to one
+// generation: a first touch made through an older generation that a
+// reader still pins counts in the current one too, since the two share
+// the touched cell's partition.
+TEST(MutationEquivalenceTest,
+     RestoresThroughAPinnedGenerationCountInTheCurrentOne) {
+  const Dataset base = MakeMutationDataset(77);
+  const EngineOptions options =
+      MakeMutationOptions(/*spill=*/false, /*auto_compact=*/false, "pinned");
+  SpqEngine builder(base, options);
+  ASSERT_TRUE(builder.BuildStore(kMaxRadius).ok());
+  dfs::MiniDfs dfs;
+  ASSERT_TRUE(builder.CheckpointStore(dfs, "store").ok());
+
+  // Two non-empty cells: an insert lands in the first, and the pinned
+  // generation serves the second.
+  const geo::UniformGrid& grid = builder.store()->grid();
+  std::vector<geo::CellId> cells;
+  for (geo::CellId c = 0; c < grid.num_cells() && cells.size() < 2; ++c) {
+    if (builder.store()->cell_record_count(c) > 0) cells.push_back(c);
+  }
+  ASSERT_EQ(cells.size(), 2u);
+
+  SpqEngine engine(base, options);
+  ASSERT_TRUE(engine.OpenStore(dfs, "store").ok());
+  const std::shared_ptr<const StoreSnapshot> pinned = engine.snapshot();
+  const geo::Rect rect = grid.CellRect(cells[0]);
+  DataObject fresh;
+  fresh.id = 61'000'000;
+  fresh.pos = {0.5 * (rect.min_x + rect.max_x),
+               0.5 * (rect.min_y + rect.max_y)};
+  ASSERT_EQ(grid.CellOf(fresh.pos), cells[0]);
+  ASSERT_TRUE(engine.Insert(fresh).ok());
+  ASSERT_NE(engine.store(), pinned->store.get());
+  EXPECT_EQ(engine.store()->cells_restored(), 1u);
+
+  ASSERT_TRUE(pinned->store->Serve(cells[1]).ok());
+  EXPECT_EQ(pinned->store->cells_restored(), 2u);
+  EXPECT_EQ(engine.store()->cells_restored(), 2u);
+  EXPECT_EQ(engine.store()->cells_rebuilt(), 0u);
+}
+
 TEST(MutationEquivalenceTest, MutationErrorContracts) {
   const Dataset base = MakeMutationDataset(75);
   EngineOptions options =

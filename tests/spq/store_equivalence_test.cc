@@ -15,6 +15,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <random>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -304,6 +306,59 @@ TEST(StoreEquivalenceTest, RadiusBeyondStoreFallsBackCold) {
     EXPECT_EQ(warm_batch->job.shuffle_bytes, shuffle_bytes);
     EXPECT_EQ(warm_batch->job.input_records,
               queries.size() * (dataset.data.size() + dataset.features.size()));
+  }
+}
+
+/// A hand-built dataset with spatially disjoint vocabularies: data objects
+/// everywhere, left-half features talk about terms 0-9, right-half about
+/// terms 100-109. A right-half query with the keyword prefilter DISABLED
+/// (with it on, groups of disjoint features never form) gives every
+/// left-half cell a group whose features all score 0. Served warm, those
+/// groups go through the reduce cores like any other, and the run must
+/// match the cold run in results and in every SPQ counter. The suite has
+/// its own faults rerun, `faults.kernel_equivalence`.
+TEST(KernelEquivalenceTest,
+     PrefilterOffWarmMatchesColdOnDisjointVocabularies) {
+  Dataset dataset;
+  dataset.bounds = geo::Rect{0.0, 0.0, 1.0, 1.0};
+  std::mt19937_64 rng(4242);
+  std::uniform_real_distribution<double> unit(0.01, 0.99);
+  for (ObjectId i = 0; i < 600; ++i) {
+    dataset.data.push_back({i, {unit(rng), unit(rng)}});
+  }
+  std::uniform_int_distribution<text::TermId> left_term(0, 9);
+  std::uniform_int_distribution<text::TermId> right_term(100, 109);
+  for (ObjectId i = 0; i < 400; ++i) {
+    const double x = unit(rng), y = unit(rng);
+    const bool left = x < 0.5;
+    std::vector<text::TermId> terms;
+    for (int t = 0; t < 4; ++t) {
+      terms.push_back(left ? left_term(rng) : right_term(rng));
+    }
+    dataset.features.push_back(
+        {1000 + i, {x, y}, text::KeywordSet(std::move(terms))});
+  }
+
+  Query query;
+  query.k = 5;
+  query.radius = 0.05;
+  query.keywords = text::KeywordSet{100, 101, 102};
+
+  for (Algorithm algo :
+       {Algorithm::kPSPQ, Algorithm::kESPQLen, Algorithm::kESPQSco}) {
+    EngineOptions options;
+    options.grid_size = 8;
+    options.num_workers = 2;
+    options.keyword_prefilter = false;  // ablation: groups form everywhere
+    ApplyEnvFaults(options);
+    SpqEngine engine(dataset, options);
+    ASSERT_TRUE(engine.BuildStore(query.radius).ok());
+    auto cold = engine.Execute(query, algo);
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+
+    auto warm = engine.Query(query, algo);
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    ExpectWarmMatchesCold(*cold, *warm, "prefilter off " + AlgorithmName(algo));
   }
 }
 
